@@ -1,19 +1,18 @@
 """Campaign smoke target: a tiny Monte Carlo fault-injection campaign.
 
 Runs a deliberately small campaign (two schemes, one benchmark, a
-handful of trials) through :mod:`repro.harness.campaign` under **both**
-schedulers — the synchronous round-barrier engine and the continuous
-work-stealing engine — asserts their reports are byte-identical, and
-records per-scheduler trials/sec plus scheduler telemetry (worker
-utilization, steals, cancelled-trial savings) under
-``benchmarks/results/``.
+handful of trials) through :mod:`repro.harness.campaign`, checks its
+report against the reference checked in under ``tests/golden/``, and
+records trials/sec plus engine telemetry (worker utilization, steals,
+cancelled-trial savings) under ``benchmarks/results/``.
 
-A second, adaptive-stopping campaign measures the headline scheduler
-win: with ``batch_size=1`` and a bootstrap half-width target, the round
-engine degenerates into one barrier per trial while the stealing engine
-pipelines speculative trials past the firm frontier and cancels them on
-convergence.  The wall-clock ratio (round / stealing) is recorded as
-``adaptive.speedup`` in ``BENCH_campaign.json``.
+A second, adaptive-stopping campaign (``batch_size=1`` and a bootstrap
+half-width target) exercises speculative trials past the firm frontier
+and their cancellation on convergence; it is checked against its own
+reference too.
+
+The references were recorded for the default arguments; with other
+arguments the reports are not checked (the output says so).
 
 This is the artifact the CI campaign-smoke job uploads; it is sized to
 finish in well under a minute so it can run on every push without
@@ -32,29 +31,32 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 RESULTS_DIR = Path(__file__).parent / "results"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_once(config, scheduler, jobs, **engine_kwargs):
+def _run_once(config, jobs, **engine_kwargs):
     """One fresh, uncached campaign run; returns (report, telemetry, secs)."""
     from repro.harness.campaign import create_engine
     from repro.harness.runner import ParallelRunner
 
     runner = ParallelRunner(jobs=jobs, cache=None)
-    engine = create_engine(config, runner, scheduler=scheduler, **engine_kwargs)
+    engine = create_engine(config, runner, **engine_kwargs)
     start = time.perf_counter()
     report = engine.run()
     elapsed = time.perf_counter() - start
     return report, engine.telemetry(), elapsed
 
 
-def _scheduler_entry(report, telemetry, elapsed):
+def _entry(report, telemetry, elapsed, matches):
     trials = sum(len(o.records) for o in report.outcomes)
     return {
         "elapsed_s": round(elapsed, 3),
         "trials": trials,
         "trials_per_sec": round(trials / elapsed, 2) if elapsed else None,
+        "matches_reference": matches,
         "telemetry": telemetry,
         # Multi-host cooperation: how much of the helper-trial effort
         # (trials run for cells owned by another engine) actually warmed
@@ -66,6 +68,12 @@ def _scheduler_entry(report, telemetry, elapsed):
             "warm_rate": round(telemetry.get("helper_warm_rate", 0.0), 4),
         },
     }
+
+
+def _describe(matches: Optional[bool]) -> str:
+    if matches is None:
+        return "no reference for these arguments"
+    return "matches reference" if matches else "DIFFERS from reference"
 
 
 def main(argv=None) -> int:
@@ -82,29 +90,31 @@ def main(argv=None) -> int:
         "--adaptive-jobs",
         type=int,
         default=4,
-        help="worker processes for the adaptive-stopping comparison",
+        help="worker processes for the adaptive-stopping campaign",
     )
     parser.add_argument(
         "--adaptive-trials",
         type=int,
         default=48,
-        help="trial cap per cell in the adaptive-stopping comparison",
+        help="trial cap per cell in the adaptive-stopping campaign",
     )
     parser.add_argument(
         "--adaptive-instructions",
         type=int,
         default=5_000,
-        help="instructions per trial in the adaptive-stopping comparison "
-        "(short trials make the per-barrier overhead visible)",
+        help="instructions per trial in the adaptive-stopping campaign",
     )
     parser.add_argument(
         "--skip-adaptive",
         action="store_true",
-        help="skip the adaptive-stopping scheduler comparison",
+        help="skip the adaptive-stopping campaign",
     )
     args = parser.parse_args(argv)
 
     from repro.harness.campaign import CampaignConfig
+
+    sys.path.insert(0, str(ROOT))
+    from tests.campaign_reference import matches_reference
 
     config = CampaignConfig(
         benchmarks=(args.benchmark,),
@@ -115,26 +125,18 @@ def main(argv=None) -> int:
         n_instructions=args.instructions,
     )
 
-    # -- smoke campaign under both schedulers ------------------------------
-    schedulers = {}
-    reports = {}
-    for scheduler in ("round", "stealing"):
-        report, telemetry, elapsed = _run_once(config, scheduler, args.jobs)
-        reports[scheduler] = report
-        schedulers[scheduler] = _scheduler_entry(report, telemetry, elapsed)
-        print(
-            f"[{scheduler:>8}] {schedulers[scheduler]['trials']} trials "
-            f"in {elapsed:.1f}s "
-            f"({schedulers[scheduler]['trials_per_sec']} trials/sec, "
-            f"jobs={args.jobs})"
-        )
+    # -- smoke campaign ----------------------------------------------------
+    report, telemetry, elapsed = _run_once(config, args.jobs)
+    matches = matches_reference(report, "bench_smoke")
+    smoke = _entry(report, telemetry, elapsed, matches)
+    print(
+        f"[smoke] {smoke['trials']} trials in {elapsed:.1f}s "
+        f"({smoke['trials_per_sec']} trials/sec, jobs={args.jobs}), "
+        f"{_describe(smoke['matches_reference'])}"
+    )
+    ok = smoke["matches_reference"] is not False
 
-    byte_identical = reports["round"].to_json() == reports["stealing"].to_json()
-    if not byte_identical:
-        print("FAIL: round and stealing reports differ", file=sys.stderr)
-    report = reports["round"]
-
-    # -- adaptive stopping: round barriers vs stealing pipeline ------------
+    # -- adaptive stopping with speculative lookahead ----------------------
     adaptive = None
     if not args.skip_adaptive:
         adaptive_config = CampaignConfig(
@@ -147,57 +149,38 @@ def main(argv=None) -> int:
             target_half_width=1.15e-3,
             n_instructions=args.adaptive_instructions,
         )
-        adaptive = {
-            "config": {
-                "trials": adaptive_config.trials,
-                "batch_size": adaptive_config.batch_size,
-                "target_half_width": adaptive_config.target_half_width,
-                "jobs": args.adaptive_jobs,
-            }
+        a_report, a_tel, a_elapsed = _run_once(
+            adaptive_config, args.adaptive_jobs, lookahead_batches=8
+        )
+        matches = matches_reference(a_report, "bench_adaptive")
+        adaptive = _entry(a_report, a_tel, a_elapsed, matches)
+        adaptive["config"] = {
+            "trials": adaptive_config.trials,
+            "batch_size": adaptive_config.batch_size,
+            "target_half_width": adaptive_config.target_half_width,
+            "jobs": args.adaptive_jobs,
         }
-        adaptive_reports = {}
-        for scheduler in ("round", "stealing"):
-            extra = {"lookahead_batches": 8} if scheduler == "stealing" else {}
-            a_report, a_tel, a_elapsed = _run_once(
-                adaptive_config, scheduler, args.adaptive_jobs, **extra
-            )
-            adaptive_reports[scheduler] = a_report
-            adaptive[scheduler] = _scheduler_entry(a_report, a_tel, a_elapsed)
-        adaptive["byte_identical"] = (
-            adaptive_reports["round"].to_json()
-            == adaptive_reports["stealing"].to_json()
-        )
-        speedup = (
-            adaptive["round"]["elapsed_s"] / adaptive["stealing"]["elapsed_s"]
-            if adaptive["stealing"]["elapsed_s"]
-            else None
-        )
-        adaptive["speedup"] = round(speedup, 2) if speedup else None
-        savings = adaptive["stealing"]["telemetry"].get("cancelled_savings", 0)
         print(
-            f"[adaptive] round {adaptive['round']['elapsed_s']}s vs "
-            f"stealing {adaptive['stealing']['elapsed_s']}s -> "
-            f"{adaptive['speedup']}x speedup, "
-            f"{savings} cancelled trials saved, "
-            f"byte_identical={adaptive['byte_identical']}"
+            f"[adaptive] {adaptive['trials']} trials in {a_elapsed:.1f}s, "
+            f"{a_tel['cancelled_savings']} cancelled trials saved, "
+            f"{_describe(adaptive['matches_reference'])}"
         )
-        if not adaptive["byte_identical"]:
-            print("FAIL: adaptive reports differ across schedulers", file=sys.stderr)
-            byte_identical = False
+        ok = ok and adaptive["matches_reference"] is not False
 
     table = report.to_table()
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_campaign.txt").write_text(table + "\n")
     payload = {
         "report": json.loads(report.to_json()),
-        "byte_identical": byte_identical,
-        "schedulers": schedulers,
+        "smoke": smoke,
         "adaptive": adaptive,
     }
     (RESULTS_DIR / "BENCH_campaign.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
     print(table)
+    if not ok:
+        print("FAIL: a campaign report differs from its reference", file=sys.stderr)
 
     # Shape check: every ICR cell must be at least as resilient as the
     # baseline cell sharing its (benchmark, error_rate).
@@ -205,7 +188,6 @@ def main(argv=None) -> int:
         o.cell: o.metric_ci("unrecoverable_load_fraction", config)
         for o in report.outcomes
     }
-    ok = byte_identical
     for cell, ci in ulf.items():
         if ci is None or cell.scheme.startswith("Base"):
             continue

@@ -87,12 +87,11 @@ def _run_report(
     cache_dir: Path,
     *,
     jobs: int = 1,
-    scheduler: str = "round",
     **engine_kwargs,
 ) -> tuple[str, dict]:
     """One full campaign run; (report JSON, engine telemetry)."""
     runner = ParallelRunner(jobs=jobs, cache=ResultCache(cache_dir=cache_dir))
-    engine = create_engine(config, runner, scheduler=scheduler, **engine_kwargs)
+    engine = create_engine(config, runner, **engine_kwargs)
     report = engine.run()
     return report.to_json(), engine.telemetry()
 
@@ -142,7 +141,6 @@ def scenario_worker_crash(ctx: ScenarioContext) -> str:
             config,
             ctx.workdir / "chaos-cache",
             jobs=2,
-            scheduler="stealing",
             workers=2,
         )
         kills = runtime.fired()["kill"]
@@ -188,7 +186,7 @@ def scenario_torn_checkpoint(ctx: ScenarioContext) -> str:
             jobs=1, cache=ResultCache(cache_dir=cache_dir)
         )
         engine = create_engine(config, runner, checkpoint_path=ckpt)
-        engine.run(max_rounds=1)  # the exit flush is the (torn) write
+        engine.run(max_trials=4)  # the exit flush is the (torn) write
         torn = runtime.fired()["torn_checkpoint"]
     finally:
         runtime.uninstall()
@@ -237,7 +235,7 @@ def scenario_disk_full(ctx: ScenarioContext) -> str:
 
 
 def scenario_lease_takeover(ctx: ScenarioContext) -> str:
-    """A dead engine's stale lease blocks a cell; the scheduler must
+    """A dead engine's stale lease blocks a cell; the engine must
     break it, take the cell over, and produce the identical report."""
     config = _config(ctx.seed)
     ref, _ = _run_report(config, ctx.workdir / "ref-cache")
@@ -249,7 +247,6 @@ def scenario_lease_takeover(ctx: ScenarioContext) -> str:
     engine = create_engine(
         config,
         runner,
-        scheduler="stealing",
         share_dir=share,
         lease_ttl=5.0,
     )
@@ -281,7 +278,6 @@ async def main():
         workers=1,
         cache_dir=sys.argv[1],
         queue_dir=sys.argv[2],
-        campaign_scheduler="round",
         checkpoint_every_trials=1,
         checkpoint_interval=0.05,
     )

@@ -175,7 +175,7 @@ def result_from_dict(data: dict) -> SimulationResult:
 class FileLease:
     """An advisory, TTL-bounded claim on a shared resource.
 
-    The multi-host campaign scheduler uses one lease file per campaign
+    The multi-host campaign engine uses one lease file per campaign
     cell: an engine that wants to run a cell's trials must hold its
     lease, so two engines pointed at the same checkpoint/cache
     directory partition the grid between themselves instead of
@@ -428,12 +428,15 @@ class _CacheShard:
 class ReadThroughCache:
     """Sharded in-memory LRU tier over a :class:`ResultCache`.
 
-    The simulation service answers hot result lookups from this tier —
-    a memory hit costs one dict probe under a per-shard lock, never a
-    disk read, never the simulator.  Misses fall through to the backing
-    disk cache and populate the memory tier on the way back (the
-    *read-through* contract); :meth:`put` writes through to disk, so a
-    restart loses only latency, never results.
+    This is every :class:`~repro.harness.runner.ParallelRunner`'s result
+    store, and the simulation service shares one instance between its
+    runner, its campaign runners and its HTTP handlers.  A memory hit
+    costs one dict probe under a per-shard lock, never a disk read,
+    never the simulator; the bound keeps a long-lived process's memory
+    flat however many results pass through it.  Misses fall through to
+    the backing disk cache (if any) and populate the memory tier on the
+    way back (the *read-through* contract); :meth:`put` writes through
+    to disk, so a restart loses only latency, never results.
 
     Keys are the content hashes of :func:`job_key` (hex), sharded by
     their leading digits: concurrent readers of different keys contend
@@ -491,16 +494,6 @@ class ReadThroughCache:
         self.stores += 1
         if self.backing is not None:
             self.backing.put(key, result)
-
-    def warm(self, key: str, result: SimulationResult) -> None:
-        """Install in the memory tier only (no backing write).
-
-        For results some other path already persisted — e.g. the
-        service's runner stores every simulated result in the shared
-        disk cache itself, so completing a job only needs to make the
-        hot tier current.
-        """
-        self._install(self._shard_for(key), key, result)
 
     def contains_in_memory(self, key: str) -> bool:
         """True when *key* is resident (no promotion, no stat changes)."""

@@ -24,6 +24,7 @@ from repro.core.config import VictimPolicy
 from repro.core.schemes import ALL_SCHEMES
 from repro.harness.experiment import (
     DEFAULT_INSTRUCTIONS,
+    SimulationResult,
     run_experiment,
 )
 from repro.harness.report import format_table
@@ -174,23 +175,26 @@ class _JobCollector:
 
 
 class _ReplayEngine:
-    """Serves the replay pass from the runner's memo without re-counting.
+    """Serves the replay pass from the batch's own results.
 
-    The batch pass already accounted for every cacheable job in the
+    The batch pass already accounted for every collected job in the
     runner's stats; replaying through ``runner.run_one`` would double
-    the job and hit counters.  Anything not in the memo (uncacheable
-    jobs) falls through to the runner and is counted normally.
+    the job and hit counters, and would re-simulate any result the
+    bounded store has since evicted.  Anything the batch did not run
+    (uncacheable jobs) falls through to the runner and is counted
+    normally.
     """
 
-    def __init__(self, runner: ParallelRunner):
+    def __init__(
+        self, runner: ParallelRunner, results: dict[str, SimulationResult]
+    ):
         self.runner = runner
+        self.results = results
 
     def run_one(self, benchmark, scheme, **kwargs):
-        key = Job(benchmark, scheme, kwargs).key()
-        if key is not None:
-            hit = self.runner._memo.get(key)
-            if hit is not None:
-                return hit
+        hit = self.results.get(Job(benchmark, scheme, kwargs).key())
+        if hit is not None:
+            return hit
         return self.runner.run_one(benchmark, scheme, **kwargs)
 
 
@@ -226,8 +230,9 @@ def run_figure(
         collector = _JobCollector()
         with execution_context(collector):
             fn(**kwargs)
-        runner.run(collector.jobs)
-        with execution_context(_ReplayEngine(runner)):
+        results = runner.run(collector.jobs)
+        by_key = {job.key(): r for job, r in zip(collector.jobs, results)}
+        with execution_context(_ReplayEngine(runner, by_key)):
             return fn(**kwargs)
     with execution_context(runner):
         return fn(**kwargs)

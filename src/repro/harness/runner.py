@@ -1,19 +1,26 @@
 """Parallel experiment execution with caching, timeouts and retries.
 
 :class:`ParallelRunner` is the one execution engine behind the sweep
-utilities, the figure functions and the CLI.  It fans independent
-``(benchmark, scheme, kwargs)`` jobs out over a ``multiprocessing``
-worker pool, consults the content-addressed result cache
-(:mod:`repro.harness.cache`) before simulating anything, and guards
-every job with a wall-clock timeout plus one retry — a crashed or hung
-worker costs one job attempt, not the whole sweep.
+utilities, the figure functions, the campaign engine, the service and
+the CLI.  It fans independent ``(benchmark, scheme, kwargs)`` jobs out
+over a ``multiprocessing`` worker pool, consults its result store (a
+bounded :class:`~repro.harness.cache.ReadThroughCache`, optionally over
+the content-addressed disk cache) before simulating anything, and
+guards every job with a wall-clock timeout plus a retry budget:
+``retries=N`` gives every job ``1 + N`` attempts, so a crashed or hung
+worker costs one attempt, not the whole sweep.
+
+There is one execution path.  :meth:`ParallelRunner.run` submits a
+batch to a :class:`RunnerSession`, harvests it as it completes and
+puts the results back in input order; the campaign engine and the
+service drive sessions directly.  A session with one worker runs its
+jobs in the calling process — no fork, no pool — so ``jobs=1`` keeps
+coverage tools, profilers and ``pdb`` working.
 
 Because every experiment is deterministic (seeded traces, seeded fault
-injection), a parallel run returns results *bit-identical* to the serial
-path regardless of worker scheduling; ``tests/test_harness_runner.py``
-locks that equivalence.  With ``jobs=1`` everything runs in-process —
-no fork, no pool — so coverage tools, profilers and ``pdb`` keep
-working.
+injection), a parallel run returns results *bit-identical* to the
+in-process path regardless of worker scheduling;
+``tests/test_harness_runner.py`` locks that equivalence.
 """
 
 from __future__ import annotations
@@ -36,7 +43,12 @@ from typing import Any, Optional, Sequence, Union
 from repro import recovery
 from repro.chaos import runtime as _chaos
 from repro.core.config import ICRConfig
-from repro.harness.cache import ResultCache, UncacheableJobError, job_key
+from repro.harness.cache import (
+    ReadThroughCache,
+    ResultCache,
+    UncacheableJobError,
+    job_key,
+)
 from repro.harness.experiment import SimulationResult, _run_spec
 from repro.harness.spec import ExperimentSpec
 from repro.workloads.generator import WorkloadProfile
@@ -82,10 +94,12 @@ class JobTimeoutError(RuntimeError):
 
 
 class RunnerError(RuntimeError):
-    """A job failed on both its first attempt and its retry."""
+    """A job failed every attempt of its retry budget."""
 
-    def __init__(self, job: Job, detail: str):
-        super().__init__(f"job {job.label} failed twice: {detail}")
+    def __init__(self, job: Job, detail: str, attempts: int):
+        super().__init__(
+            f"job {job.label} failed after {attempts} attempt(s): {detail}"
+        )
         self.job = job
         self.detail = detail
 
@@ -173,8 +187,8 @@ def _frame_safe_to_raise(frame) -> bool:
 def _inject_trial_fault(job: Job, last_attempt: bool = False) -> None:
     """Fire the chaos fault scheduled for this trial, if any.
 
-    Sits at the top of every execution attempt — pool worker, in-parent
-    retry, in-process path — keyed by the job's content hash, so the
+    Sits at the top of every execution attempt — pool worker or
+    in-process — keyed by the job's content hash, so the
     fault fires on exactly one attempt anywhere in the process tree and
     the retry of the *same* spec sails through.  That placement is what
     keeps chaos beneath the runner's retry boundary: the campaign never
@@ -184,8 +198,9 @@ def _inject_trial_fault(job: Job, last_attempt: bool = False) -> None:
     faults by contract, and an execution with no retry budget left has
     no way to survive one.  This matters for collateral damage — when a
     killed worker breaks the pool, every other in-flight job falls back
-    to its single in-parent retry, and a fresh fault firing there would
-    escalate into a permanent trial failure the reference run never saw.
+    to its in-parent retries, and a fresh fault firing on the last of
+    them would escalate into a permanent trial failure the reference
+    run never saw.
     """
     if last_attempt or _chaos.active() is None:
         return
@@ -238,11 +253,11 @@ def _run_with_timeout(
         signal.signal(signal.SIGALRM, previous)
 
 
-def _worker(payload: tuple[Job, Optional[float]]) -> tuple[str, object]:
+def _worker(payload: tuple[Job, Optional[float], bool]) -> tuple[str, object]:
     """Pool entry point: never raises, always returns a tagged outcome."""
-    job, timeout = payload
+    job, timeout, last_attempt = payload
     try:
-        return "ok", _run_with_timeout(job, timeout)
+        return "ok", _run_with_timeout(job, timeout, last_attempt)
     except JobTimeoutError as exc:
         return "timeout", str(exc)
     except Exception:
@@ -258,15 +273,19 @@ class ParallelRunner:
         Worker process count; ``None`` means ``os.cpu_count()``.  With
         1 everything runs in the calling process.
     cache:
-        A :class:`ResultCache`, or ``None`` to disable persistence.
-        An in-memory memo is always kept, so repeated identical jobs
-        within one runner never re-simulate even without a disk cache.
+        The result store.  A :class:`ReadThroughCache` is used as is
+        (the service shares one between all its runners); a
+        :class:`ResultCache` — or ``None``, for no persistence — is
+        wrapped in a default-sized one.  Either way repeated identical
+        jobs never re-simulate while their result is resident, and the
+        in-memory tier stays bounded.
     timeout:
         Per-job wall-clock budget in seconds (``None`` = unbounded).
     retries:
-        Extra attempts after a crash or timeout (default 1).  Retries
-        run *in the parent process*, so a poisoned worker pool cannot
-        take the retry down with it.
+        Extra attempts after a crash or timeout (default 1): every job
+        gets ``1 + retries`` attempts, whichever path runs it.  After a
+        failed pool attempt the rest run *in the parent process*, so a
+        poisoned worker pool cannot take them down with it.
     progress:
         When true, a compact progress line is written to *stream*
         (default ``sys.stderr``) as jobs complete.
@@ -276,25 +295,26 @@ class ParallelRunner:
         self,
         jobs: Optional[int] = None,
         *,
-        cache: Optional[ResultCache] = None,
+        cache: Union[ResultCache, ReadThroughCache, None] = None,
         timeout: Optional[float] = None,
         retries: int = 1,
         progress: bool = False,
         stream=None,
     ):
         self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-        self.cache = cache
+        self.store = (
+            cache if isinstance(cache, ReadThroughCache) else ReadThroughCache(cache)
+        )
         self.timeout = timeout
         self.retries = max(0, retries)
         self.progress = progress
         self.stream = stream if stream is not None else sys.stderr
         self.stats = RunnerStats()
-        self._memo: dict[str, SimulationResult] = {}
 
     # -- single-job path (also the figures execution context) ------------
 
     def run_one(self, benchmark, scheme=None, **kwargs) -> SimulationResult:
-        """Run one experiment in-process, through memo and disk cache.
+        """Run one experiment in-process, through the result store.
 
         Accepts either an :class:`ExperimentSpec` as the sole argument
         or the legacy ``(benchmark, scheme, **kwargs)`` form.
@@ -305,19 +325,16 @@ class ParallelRunner:
             job = Job.from_spec(benchmark)
         else:
             job = Job(benchmark, scheme, kwargs)
+        handle = TrialHandle(job, job.key())
         self.stats.jobs += 1
         started = time.monotonic()
         try:
-            key = job.key()
-            if key is None:
-                self.stats.uncacheable += 1
-            result = self._lookup(key)
-            if result is None:
-                result = self._execute_with_retry(job, key)
+            if not self._complete_from_store(handle):
+                handle.result = self._execute_with_retry(job, handle.key)
+                self.stats.completed += 1
         finally:
             self.stats.elapsed += time.monotonic() - started
-        self.stats.completed += 1
-        return result
+        return handle.result
 
     # -- batch path -------------------------------------------------------
 
@@ -326,71 +343,62 @@ class ParallelRunner:
     ) -> list[SimulationResult]:
         """Run a batch of jobs, returning results in input order.
 
-        *on_error* controls what happens when a job fails its attempt
-        *and* its retries: ``"raise"`` (default) propagates the
+        Stored results are served first; every other distinct job is
+        submitted to one :class:`RunnerSession` of ``min(jobs, pending
+        jobs)`` workers — so ``jobs=1`` or a single pending job never
+        forks — and harvested as it completes.  A job repeated within
+        the batch runs once; its copies are filled from the batch's own
+        results.
+
+        *on_error* controls what happens when a job fails its whole
+        retry budget: ``"raise"`` (default) propagates the
         :class:`RunnerError`; ``"return"`` places the error object in
-        the result list at the job's position and keeps going — the
-        campaign engine uses this so one pathological trial degrades a
-        cell instead of aborting the whole campaign.
+        the result list at the job's position and keeps going.
         """
         if on_error not in ("raise", "return"):
             raise ValueError(f"on_error must be 'raise' or 'return', got {on_error!r}")
         jobs = list(jobs)
         self.stats.jobs += len(jobs)
+        results: list = [None] * len(jobs)
+        first: dict[str, int] = {}  # key -> index of its first job
+        copies: list[tuple[int, int]] = []
+        pending: list[TrialHandle] = []
         started = time.monotonic()
-        results: list[Optional[SimulationResult]] = [None] * len(jobs)
-        pending: list[tuple[int, Job, Optional[str]]] = []
-        scheduled: set[str] = set()
-        duplicates: list[tuple[int, str]] = []
-        failed: dict[str, RunnerError] = {}
         try:
             for index, job in enumerate(jobs):
-                key = job.key()
-                cached = self._lookup(key)
-                if cached is not None:
-                    results[index] = cached
-                    self.stats.completed += 1
+                handle = TrialHandle(job, job.key(), index)
+                if handle.key in first:
+                    copies.append((index, first[handle.key]))
+                    continue
+                if handle.key is not None:
+                    first[handle.key] = index
+                if self._complete_from_store(handle):
+                    results[index] = handle.result
                     self._tick()
-                elif key is not None and key in scheduled:
-                    # Identical job already in this batch: simulate once,
-                    # fill the duplicate from the memo afterwards.
-                    duplicates.append((index, key))
                 else:
-                    if key is None:
-                        self.stats.uncacheable += 1
-                    else:
-                        scheduled.add(key)
-                    pending.append((index, job, key))
-
+                    pending.append(handle)
+        finally:
+            self.stats.elapsed += time.monotonic() - started
+        try:
             if pending:
-                if self.jobs <= 1 or len(pending) == 1:
-                    for index, job, key in pending:
-                        try:
-                            results[index] = self._execute_with_retry(job, key)
-                        except RunnerError as error:
-                            if on_error == "raise":
-                                raise
-                            results[index] = error
-                            if key is not None:
-                                failed[key] = error
-                        self.stats.completed += 1
+                workers = min(self.jobs, len(pending))
+                with self.session(workers=workers) as session:
+                    for handle in pending:
+                        session._enqueue(handle)
+                    while (handle := session.next_completed()) is not None:
+                        if on_error == "raise" and not handle.ok:
+                            raise handle.result
+                        results[handle.tag] = handle.result
                         self._tick()
-                else:
-                    self._run_pool(pending, results, on_error, failed)
-            for index, key in duplicates:
-                hit = self._memo.get(key)
-                if hit is not None:
-                    results[index] = hit
+            for index, source in copies:
+                results[index] = results[source]
+                if not isinstance(results[index], RunnerError):
                     self.stats.cache_hits += 1
-                else:
-                    # The job this duplicated failed (on_error="return").
-                    results[index] = failed[key]
                 self.stats.completed += 1
                 self._tick()
         finally:
-            self.stats.elapsed += time.monotonic() - started
             self._finish_progress()
-        return results  # type: ignore[return-value]
+        return results
 
     def run_grid(
         self,
@@ -410,26 +418,43 @@ class ParallelRunner:
     def _lookup(self, key: Optional[str]) -> Optional[SimulationResult]:
         if key is None:
             return None
-        hit = self._memo.get(key)
-        if hit is None and self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                self._memo[key] = hit
+        hit = self.store.get(key)
         if hit is not None:
             self.stats.cache_hits += 1
         return hit
 
+    def _complete_from_store(self, handle: "TrialHandle") -> bool:
+        """Complete *handle* from the result store; False on a miss."""
+        hit = self._lookup(handle.key)
+        if hit is None:
+            if handle.key is None:
+                self.stats.uncacheable += 1
+            return False
+        handle.result = hit
+        handle.done = handle.cached = True
+        self.stats.completed += 1
+        return True
+
     def _store(self, key: Optional[str], result: SimulationResult) -> None:
         if key is not None:
-            self._memo[key] = result
-            if self.cache is not None:
-                self.cache.put(key, result)
+            self.store.put(key, result)
 
-    def _execute_with_retry(self, job: Job, key: Optional[str]) -> SimulationResult:
-        """In-process execution with the same retry budget as the pool."""
+    def _execute_with_retry(
+        self,
+        job: Job,
+        key: Optional[str],
+        *,
+        first_attempt: int = 0,
+        error: str = "unknown",
+    ) -> SimulationResult:
+        """In-process attempts until one succeeds or the budget is spent.
+
+        A job that already failed its pool attempt enters with
+        *first_attempt* = 1 and that attempt's *error*.  Only the final
+        attempt is flagged ``last_attempt`` for chaos.
+        """
         attempts = 1 + self.retries
-        last_error = "unknown"
-        for attempt in range(attempts):
+        for attempt in range(first_attempt, attempts):
             if attempt:
                 self.stats.retries += 1
             try:
@@ -437,90 +462,25 @@ class ParallelRunner:
                     job, self.timeout, attempt == attempts - 1
                 )
             except Exception:
-                last_error = traceback.format_exc()
+                error = traceback.format_exc()
                 continue
             self.stats.simulated += 1
             self._store(key, result)
             return result
         self.stats.failures += 1
-        raise RunnerError(job, last_error)
+        raise RunnerError(job, error, attempts)
 
-    def _run_pool(
-        self,
-        pending: list[tuple[int, Job, Optional[str]]],
-        results: list[Optional[SimulationResult]],
-        on_error: str = "raise",
-        failed: Optional[dict[str, "RunnerError"]] = None,
-    ) -> None:
-        workers = min(self.jobs, len(pending))
-        needs_retry: list[tuple[int, Job, Optional[str], str]] = []
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_worker, (job, self.timeout)): (index, job, key)
-                    for index, job, key in pending
-                }
-                outstanding = set(futures)
-                while outstanding:
-                    done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index, job, key = futures[future]
-                        try:
-                            status, payload = future.result()
-                        except Exception as exc:  # worker died, pool broken, ...
-                            status, payload = "error", repr(exc)
-                        if status == "ok":
-                            self.stats.simulated += 1
-                            self.stats.completed += 1
-                            self._store(key, payload)
-                            results[index] = payload
-                            self._tick()
-                        else:
-                            needs_retry.append((index, job, key, str(payload)))
-        except Exception as exc:
-            # The pool itself failed (fork bomb limits, broken executor
-            # mid-shutdown, ...): salvage every unfinished job in-process.
-            needs_retry.extend(
-                (index, job, key, repr(exc))
-                for index, job, key in pending
-                if results[index] is None
-                and not any(index == i for i, *_ in needs_retry)
-            )
-        for index, job, key, error in needs_retry:
-            self.stats.retries += 1
-            try:
-                result = _run_with_timeout(job, self.timeout, True)
-            except Exception:
-                self.stats.failures += 1
-                runner_error = RunnerError(
-                    job, f"pool attempt: {error}\nretry: {traceback.format_exc()}"
-                )
-                if on_error == "raise":
-                    raise runner_error from None
-                results[index] = runner_error
-                if failed is not None and key is not None:
-                    failed[key] = runner_error
-                self.stats.completed += 1
-                self._tick()
-                continue
-            self.stats.simulated += 1
-            self.stats.completed += 1
-            self._store(key, result)
-            results[index] = result
-            self._tick()
-
-    # -- incremental path (the work-stealing scheduler's substrate) -------
+    # -- incremental path (the campaign engine's substrate) ---------------
 
     def session(self, *, workers: Optional[int] = None) -> "RunnerSession":
         """An incremental submit/cancel/as-completed execution session.
 
-        Where :meth:`run` is a batch barrier (every job submitted up
-        front, results returned together), a session keeps one worker
-        pool alive and lets the caller feed it continuously: ``submit``
-        returns immediately, ``next_completed`` harvests results one at
-        a time in completion order, and ``cancel`` revokes work that has
-        not started.  The campaign scheduler
-        (:mod:`repro.harness.scheduler`) is built on this API.
+        A session keeps one worker pool alive and lets the caller feed
+        it continuously: ``submit`` returns immediately,
+        ``next_completed`` harvests results one at a time in completion
+        order, and ``cancel`` revokes work that has not started.
+        :meth:`run`, the campaign engine and the service all execute
+        through sessions.
         """
         return RunnerSession(self, workers=workers)
 
@@ -545,11 +505,11 @@ class TrialHandle:
     """One submitted job inside a :class:`RunnerSession`.
 
     ``result`` is a :class:`SimulationResult` on success or a
-    :class:`RunnerError` when the job failed its pool attempt *and* the
-    in-parent retry (mirroring ``run(on_error="return")``); it is only
-    meaningful once ``done`` is true.  ``tag`` is an opaque caller
-    payload carried through untouched (the scheduler stores its
-    (cell, index, attempt) bookkeeping there).
+    :class:`RunnerError` when the job failed its whole retry budget
+    (mirroring ``run(on_error="return")``); it is only meaningful once
+    ``done`` is true.  ``tag`` is an opaque caller payload carried
+    through untouched (the campaign engine stores its (cell, index,
+    attempt, kind) bookkeeping there).
     """
 
     __slots__ = (
@@ -581,10 +541,10 @@ class RunnerSession:
     in-process and execute lazily inside :meth:`next_completed`, which
     keeps single-worker sessions deterministic *and* cancellable.
 
-    The session shares the owning runner's memo, result cache, timeout,
-    retry budget and stats; a cache hit at submit time completes the
-    handle immediately (it is still delivered through
-    :meth:`next_completed`, in submit order, ahead of simulated work).
+    The session shares the owning runner's result store, timeout,
+    retry budget and stats; a stored result completes the handle at
+    submit time (it is still delivered through :meth:`next_completed`,
+    in submit order, ahead of simulated work).
     """
 
     def __init__(self, runner: ParallelRunner, *, workers: Optional[int] = None):
@@ -620,43 +580,42 @@ class RunnerSession:
     def submit(self, job: Job, tag: Any = None) -> TrialHandle:
         """Queue *job* for execution; returns immediately.
 
-        A memo/disk-cache hit completes the handle on the spot (``done``
-        and ``cached`` both true) — it still flows through
+        A stored result completes the handle on the spot (``done`` and
+        ``cached`` both true) — it still flows through
         :meth:`next_completed` so callers can use one harvest loop.
         """
         if self._closed:
             raise RuntimeError("session is closed")
-        key = job.key()
-        handle = TrialHandle(job, key, tag)
+        handle = TrialHandle(job, job.key(), tag)
         self.runner.stats.jobs += 1
-        cached = self.runner._lookup(key)
-        if cached is not None:
-            handle.result = cached
-            handle.done = True
-            handle.cached = True
-            self.runner.stats.completed += 1
+        if self.runner._complete_from_store(handle):
             self._ready.append(handle)
-            return handle
-        if key is None:
-            self.runner.stats.uncacheable += 1
+        else:
+            self._enqueue(handle)
+        return handle
+
+    def _enqueue(self, handle: TrialHandle) -> None:
+        """Start executing *handle* (the caller has missed the store)."""
         if self.workers <= 1:
             self._queue.append(handle)
-        else:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            try:
-                future = self._pool.submit(_worker, (job, self.runner.timeout))
-            except BrokenExecutor:
-                # A worker died hard enough to poison the executor (the
-                # already-submitted futures surface their own errors
-                # through next_completed's in-parent retry).  Rebuild
-                # once and resubmit; a second failure is a real
-                # environment problem and propagates.
-                self._rebuild_pool()
-                future = self._pool.submit(_worker, (job, self.runner.timeout))
-            handle._future = future
-            self._futures[future] = handle
-        return handle
+            return
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        # The pool attempt is the job's first; it is its last only when
+        # the runner grants no retries.
+        payload = (handle.job, self.runner.timeout, self.runner.retries == 0)
+        try:
+            future = self._pool.submit(_worker, payload)
+        except BrokenExecutor:
+            # A worker died hard enough to poison the executor (the
+            # already-submitted futures surface their own errors
+            # through next_completed's in-parent retries).  Rebuild
+            # once and resubmit; a second failure is a real
+            # environment problem and propagates.
+            self._rebuild_pool()
+            future = self._pool.submit(_worker, payload)
+        handle._future = future
+        self._futures[future] = handle
 
     def _rebuild_pool(self) -> None:
         """Replace a broken executor with a fresh one (session keeps going)."""
@@ -686,7 +645,7 @@ class RunnerSession:
 
         A running or finished job cannot be revoked — the caller is free
         to ignore its result instead (results are side-effect-free
-        beyond the shared cache, which only makes future lookups
+        beyond the shared store, which only makes future lookups
         cheaper).
         """
         if handle.done or handle.cancelled:
@@ -721,17 +680,17 @@ class RunnerSession:
     ) -> Optional[TrialHandle]:
         """The next finished handle, or None on timeout / empty session.
 
-        Completion order: cache hits first (in submit order), then
-        simulated jobs as their workers finish.  Failed jobs get one
-        in-parent retry before surfacing a :class:`RunnerError` as the
-        handle's result — exactly the batch path's degradation
-        contract.
+        Completion order: stored results first (in submit order), then
+        simulated jobs as their workers finish.  A failed pool attempt
+        spends the rest of the job's retry budget in the calling
+        process; a job that exhausts it surfaces a :class:`RunnerError`
+        as the handle's result.
         """
         if self._ready:
             return self._ready.popleft()
         if self._queue:
             handle = self._queue.popleft()
-            return self._finish(handle, *self._execute(handle.job, handle.key))
+            return self._finish(handle, self._execute(handle))
         if not self._futures:
             return None
         done, _ = wait(
@@ -749,46 +708,27 @@ class RunnerSession:
             if status == "ok":
                 self.runner.stats.simulated += 1
                 self.runner._store(handle.key, payload)
-                self._ready.append(self._finish(handle, payload, None))
+                result = payload
             else:
-                # In-parent retry, mirroring the batch pool path: one
-                # pool attempt has already failed, so this burns the
-                # retry budget directly in the calling process.
-                self.runner.stats.retries += 1
-                try:
-                    result = _run_with_timeout(
-                        handle.job, self.runner.timeout, True
-                    )
-                except Exception:
-                    self.runner.stats.failures += 1
-                    error = RunnerError(
-                        handle.job,
-                        f"pool attempt: {payload}\n"
-                        f"retry: {traceback.format_exc()}",
-                    )
-                    self._ready.append(self._finish(handle, None, error))
-                else:
-                    self.runner.stats.simulated += 1
-                    self.runner._store(handle.key, result)
-                    self._ready.append(self._finish(handle, result, None))
+                result = self._execute(
+                    handle, first_attempt=1, error=str(payload)
+                )
+            self._ready.append(self._finish(handle, result))
         return self._ready.popleft()
 
     # -- internals --------------------------------------------------------
 
-    def _execute(self, job: Job, key: Optional[str]):
-        """In-process execution with the runner's full retry budget."""
+    def _execute(self, handle: TrialHandle, **attempts: Any):
+        """In-process attempts at *handle*'s job; the result or the error."""
         try:
-            return self.runner._execute_with_retry(job, key), None
+            return self.runner._execute_with_retry(
+                handle.job, handle.key, **attempts
+            )
         except RunnerError as error:
-            return None, error
+            return error
 
-    def _finish(
-        self,
-        handle: TrialHandle,
-        result: Optional[SimulationResult],
-        error: Optional[RunnerError],
-    ) -> TrialHandle:
-        handle.result = error if error is not None else result
+    def _finish(self, handle: TrialHandle, result) -> TrialHandle:
+        handle.result = result
         handle.done = True
         self.runner.stats.completed += 1
         return handle

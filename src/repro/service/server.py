@@ -7,23 +7,27 @@ the load through a persistent on-disk job queue
 (:mod:`repro.service.jobs`), dedupes identical specs in flight (the
 spec's canonical ``key()`` is the job id, so N concurrent submissions
 of one spec cost one simulation and N waiters), executes on the
-existing runner substrate, and serves results from a sharded in-memory
-read-through tier (:class:`~repro.api.ReadThroughCache`) so hot keys
-never touch the simulator — or even the disk.
+existing runner substrate, and serves results from one sharded,
+bounded in-memory read-through store (:class:`~repro.api.ReadThroughCache`)
+so hot keys never touch the simulator — or even the disk.
 
 Threading model (three lanes, one owner each):
 
 * the **asyncio event loop** owns every job record, the progress-event
   log and all HTTP handling; nothing else mutates them;
 * one **execution thread** owns a single long-lived
-  :meth:`~repro.api.ParallelRunner.session` (the work-stealing
-  scheduler's substrate) and feeds it experiment jobs from a
-  thread-safe queue, marshalling completions back to the loop with
+  :meth:`~repro.api.ParallelRunner.session` (the campaign engine's
+  substrate) and feeds it experiment jobs from a thread-safe queue,
+  marshalling completions back to the loop with
   ``call_soon_threadsafe``;
 * **campaign threads** (a small pool) each run one campaign to
   completion through :func:`~repro.api.create_engine` with its own
-  runner — sharing the same disk cache, so campaign trials and ad-hoc
-  jobs warm each other.
+  runner.
+
+Every runner shares the service's one result store (thread-safe, and
+bounded, so a long-lived server's memory stays flat): campaign trials
+and ad-hoc jobs warm each other, and a result a runner makes is
+resident for the HTTP handlers the moment it is stored.
 
 Because execution delegates to the same runner/cache/engine machinery
 as local calls, a result served over HTTP is byte-identical to
@@ -92,10 +96,10 @@ class ServiceConfig:
     cache_dir: Union[str, Path, None] = None
     #: Job queue directory (records + campaign checkpoints).
     queue_dir: Union[str, Path] = ".repro-service"
+    #: Geometry of the one result store every runner shares.
     store_shards: int = 16
     store_capacity_per_shard: int = 256
-    #: Campaign execution discipline and concurrent-campaign cap.
-    campaign_scheduler: str = "stealing"
+    #: Concurrent-campaign cap.
     max_campaigns: int = 2
     #: Campaign checkpoint cadence (records-dirty / seconds-elapsed).
     #: Deliberately tighter than the library defaults: a service exists
@@ -147,15 +151,12 @@ class SimulationService:
     def __init__(self, config: ServiceConfig, *, start_execution: bool = True):
         self.config = config
         self.queue = PersistentJobQueue(config.queue_dir)
-        cache = ResultCache(cache_dir=config.cache_dir)
-        self.runner = ParallelRunner(
-            jobs=config.workers, cache=cache, timeout=config.timeout
-        )
         self.store = ReadThroughCache(
-            cache,
+            ResultCache(cache_dir=config.cache_dir),
             shards=config.store_shards,
             capacity_per_shard=config.store_capacity_per_shard,
         )
+        self.runner = self._make_runner()
         self._start_execution = start_execution
         self._jobs: dict[str, JobRecord] = {}
         self._events: dict[str, list[dict[str, Any]]] = {}
@@ -286,6 +287,12 @@ class SimulationService:
             return sum(len(v) for v in cells.values() if isinstance(v, list))
         except (OSError, ValueError, AttributeError, TypeError):
             return 0
+
+    def _make_runner(self) -> ParallelRunner:
+        """A runner over the service's one result store."""
+        return ParallelRunner(
+            jobs=self.config.workers, cache=self.store, timeout=self.config.timeout
+        )
 
     # -- submission and dispatch (loop thread) ----------------------------
 
@@ -449,7 +456,6 @@ class SimulationService:
         if handle.ok:
             record.state = _jobs.DONE
             record.error = None
-            self.store.warm(job_id, handle.result)
             self.jobs_done += 1
             backend = record.payload["spec"].get("backend", "object")
             if record.started is not None:
@@ -509,21 +515,16 @@ class SimulationService:
     ) -> tuple[dict[str, Any], dict[str, Any]]:
         """Blocking campaign execution (campaign thread).
 
-        Each campaign gets its own runner over the *same* disk cache —
-        trials it simulates warm the service's read-through store for
-        later single-spec submissions, and vice versa.  The checkpoint
-        lives beside the job queue, so a killed server resumes the
-        campaign instead of restarting it.
+        Each campaign gets its own runner (its stats are the campaign's
+        telemetry) over the service's one result store — trials it
+        simulates are served to later single-spec submissions, and vice
+        versa.  The checkpoint lives beside the job queue, so a killed
+        server resumes the campaign instead of restarting it.
         """
-        runner = ParallelRunner(
-            jobs=self.config.workers,
-            cache=ResultCache(cache_dir=self.config.cache_dir),
-            timeout=self.config.timeout,
-        )
+        runner = self._make_runner()
         engine = create_engine(
             config,
             runner,
-            scheduler=self.config.campaign_scheduler,
             checkpoint_path=self.queue.root / f"{job_id}.ckpt.json",
             checkpoint_every_trials=self.config.checkpoint_every_trials,
             checkpoint_interval=self.config.checkpoint_interval,

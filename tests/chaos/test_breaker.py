@@ -5,8 +5,9 @@ knob, a broken native build, a poisoned input) should be declared
 broken after ``breaker_threshold`` consecutive exhausted trials instead
 of grinding through — and retrying — its entire trial budget.  Because
 the breaker is a pure function of the committed records, consulted only
-at batch-aligned counts, the round and work-stealing schedulers must
-trip it at exactly the same record and emit byte-identical reports.
+at batch-aligned counts, it trips at exactly the same record whatever
+the worker count, and the report is byte-identical to the one the
+batch-synchronous round engine recorded (``tests/golden/``).
 """
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro import recovery
 from repro.harness.campaign import CampaignConfig, CampaignEngine, create_engine
 from repro.harness.runner import ParallelRunner
+from tests.campaign_reference import assert_matches_reference
 
 
 def _crashing_config(**over):
@@ -69,14 +71,11 @@ class TestBreakerTrips:
             schemes=("BaseP", "ICR-P-PS(S)"),
             trials=6,
         )
-        round_report = create_engine(
-            config, ParallelRunner(jobs=1), scheduler="round"
-        ).run()
-        stealing_report = create_engine(
-            config, ParallelRunner(jobs=2), scheduler="stealing"
-        ).run()
-        assert round_report.to_json() == stealing_report.to_json()
-        by_scheme = {o.cell.scheme: o for o in round_report.outcomes}
+        serial_report = create_engine(config, ParallelRunner(jobs=1)).run()
+        pool_report = create_engine(config, ParallelRunner(jobs=2)).run()
+        assert_matches_reference(serial_report, "breaker")
+        assert_matches_reference(pool_report, "breaker")
+        by_scheme = {o.cell.scheme: o for o in serial_report.outcomes}
         assert by_scheme["ICR-P-PS(S)"].broken is not None
         assert by_scheme["BaseP"].broken is None
 

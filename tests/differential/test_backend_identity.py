@@ -5,7 +5,8 @@ though they are bit-identical by contract: the backend participates in
 the spec cache key and the campaign digest, so a cache entry or a
 checkpoint written under one backend is invisible to the other.  And
 when both backends *do* run the same campaign, the final reports are
-byte-for-byte equal.
+byte-for-byte equal — to each other and to the report recorded for the
+object backend (``tests/golden/campaign_backend.json``).
 """
 
 from repro.harness.cache import ResultCache
@@ -13,6 +14,7 @@ from repro.harness.campaign import CampaignConfig, CampaignEngine
 from repro.harness.experiment import run_experiment
 from repro.harness.runner import ParallelRunner
 from repro.harness.spec import ExperimentSpec
+from tests.campaign_reference import reference_body, report_body
 
 
 def _spec(backend):
@@ -59,7 +61,7 @@ def test_checkpoint_not_resumed_across_backends(tmp_path):
     engine = CampaignEngine(
         _campaign_config("object"), runner, checkpoint_path=checkpoint
     )
-    engine.run(max_rounds=1)
+    engine.run(max_trials=2)
     assert checkpoint.exists()
 
     resumed_same = CampaignEngine(
@@ -81,7 +83,7 @@ def test_resumed_array_campaign_matches_uninterrupted(tmp_path):
 
     checkpoint = tmp_path / "campaign.json"
     CampaignEngine(config, runner, checkpoint_path=checkpoint).run(
-        max_rounds=1
+        max_trials=2
     )
     resumed = CampaignEngine(config, runner, checkpoint_path=checkpoint)
     assert resumed.resumed
@@ -95,10 +97,15 @@ def test_campaign_reports_byte_identical_across_backends():
     which exists precisely to keep their artifacts apart.
     """
     runner = ParallelRunner(jobs=1, cache=None)
-    reports = {}
-    for backend in ("object", "array"):
-        engine = CampaignEngine(_campaign_config(backend), runner)
-        reports[backend] = engine.run().to_json()
-    obj = reports["object"].replace(_campaign_config("object").digest(), "X")
-    arr = reports["array"].replace(_campaign_config("array").digest(), "X")
+    reports = {
+        backend: CampaignEngine(_campaign_config(backend), runner).run()
+        for backend in ("object", "array")
+    }
+    obj = reports["object"].to_json()
+    arr = reports["array"].to_json()
+    obj = obj.replace(_campaign_config("object").digest(), "X")
+    arr = arr.replace(_campaign_config("array").digest(), "X")
     assert obj == arr
+    recorded = reference_body("backend", _campaign_config("object"))
+    for backend, report in reports.items():
+        assert report_body(report) == recorded, backend

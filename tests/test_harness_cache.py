@@ -161,7 +161,7 @@ class TestResultCache:
         fresh = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
         recomputed = fresh.run([job])[0]
         assert recomputed == expected
-        assert fresh.cache.corrupt == 1
+        assert fresh.store.backing.corrupt == 1
         assert fresh.stats.simulated == 1
         # The rebuilt entry is valid again.
         assert ResultCache(tmp_path).get(job.key()) == expected
@@ -194,8 +194,8 @@ class TestNoCacheBypass:
         assert runner.stats.simulated == 1
 
     def test_uncacheable_jobs_still_run(self, tmp_path, monkeypatch):
-        # A job with no stable key must execute normally, bypassing both
-        # memo and disk, and be counted in the uncacheable stat.
+        # A job with no stable key must execute normally, bypassing the
+        # in-memory store and the disk, and be counted as uncacheable.
         monkeypatch.setattr(Job, "key", lambda self: None)
         runner = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
         results = runner.run([Job("gzip", "BaseP", dict(n_instructions=N))])
@@ -206,7 +206,7 @@ class TestNoCacheBypass:
 
 
 class TestReadThroughCache:
-    """The in-memory LRU tier the simulation service serves from."""
+    """The bounded in-memory tier every runner and the service serve from."""
 
     def _result(self, n=N):
         return run_experiment(
@@ -236,13 +236,6 @@ class TestReadThroughCache:
         store.put("cd" * 16, result)
         assert backing.get("cd" * 16) is not None
 
-    def test_warm_is_memory_only(self, tmp_path):
-        backing = ResultCache(tmp_path)
-        store = ReadThroughCache(backing)
-        store.warm("ef" * 16, self._result())
-        assert store.contains_in_memory("ef" * 16)
-        assert backing.get("ef" * 16) is None
-
     def test_miss_everywhere_is_none(self, tmp_path):
         store = ReadThroughCache(ResultCache(tmp_path))
         assert store.get("99" * 16) is None
@@ -251,10 +244,10 @@ class TestReadThroughCache:
     def test_lru_eviction_per_shard(self):
         store = ReadThroughCache(None, shards=1, capacity_per_shard=2)
         result = self._result()
-        store.warm("aaaa", result)
-        store.warm("bbbb", result)
+        store.put("aaaa", result)
+        store.put("bbbb", result)
         store.get("aaaa")  # make "bbbb" the LRU entry
-        store.warm("cccc", result)  # evicts "bbbb"
+        store.put("cccc", result)  # evicts "bbbb"
         assert store.contains_in_memory("aaaa")
         assert not store.contains_in_memory("bbbb")
         assert store.contains_in_memory("cccc")
@@ -264,7 +257,7 @@ class TestReadThroughCache:
         store = ReadThroughCache(None, shards=4, capacity_per_shard=8)
         result = self._result()
         for i in range(16):
-            store.warm(f"{i:04x}{'0' * 28}", result)
+            store.put(f"{i:04x}{'0' * 28}", result)
         occupied = [
             s for s in store.stats()["per_shard"] if s["entries"] > 0
         ]
@@ -272,7 +265,7 @@ class TestReadThroughCache:
 
     def test_stats_hit_rate(self):
         store = ReadThroughCache(None, shards=1, capacity_per_shard=4)
-        store.warm("aaaa", self._result())
+        store.put("aaaa", self._result())
         store.get("aaaa")
         store.get("ffff")
         stats = store.stats()

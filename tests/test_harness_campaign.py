@@ -26,6 +26,7 @@ from repro.harness.campaign import (
 )
 from repro.harness.runner import ParallelRunner
 from repro.harness.stats import bootstrap_ci
+from tests.campaign_reference import assert_matches_reference
 
 #: A campaign small enough to run many times in a test, large enough to
 #: exercise batching (trials spans several batches).
@@ -128,9 +129,10 @@ class TestCampaignRuns:
 
     def test_report_deterministic_across_engines(self):
         config = small_config()
-        a = CampaignEngine(config).run().to_json()
-        b = CampaignEngine(config).run().to_json()
-        assert a == b
+        a = CampaignEngine(config).run()
+        b = CampaignEngine(config).run()
+        assert a.to_json() == b.to_json()
+        assert_matches_reference(a, "small")
 
     def test_parallel_runner_reproduces_serial_report(self):
         config = small_config(trials=4, batch_size=4)
@@ -151,11 +153,12 @@ class TestCampaignRuns:
             assert len(outcome.ok_records()) == config.min_trials
         assert first.complete
 
-    def test_max_rounds_reports_incomplete(self):
+    def test_max_trials_reports_incomplete(self):
         config = small_config()
-        report = CampaignEngine(config).run(max_rounds=1)
+        report = CampaignEngine(config).run(max_trials=config.batch_size)
         assert not report.complete
-        assert all(len(o.ok_records()) == config.batch_size for o in report.outcomes)
+        committed = sum(len(o.ok_records()) for o in report.outcomes)
+        assert committed == config.batch_size
 
 
 class TestCheckpointResume:
@@ -165,16 +168,17 @@ class TestCheckpointResume:
 
         path = tmp_path / "campaign.json"
         interrupted = CampaignEngine(config, checkpoint_path=path)
-        interrupted.run(max_rounds=1)
+        interrupted.run(max_trials=config.batch_size)
 
         resumed = CampaignEngine(config, checkpoint_path=path)
         assert resumed.resumed
         report = resumed.run()
         assert report.to_json() == fresh
+        assert_matches_reference(report, "small")
 
     def test_mismatched_checkpoint_is_ignored(self, tmp_path):
         path = tmp_path / "campaign.json"
-        CampaignEngine(small_config(), checkpoint_path=path).run(max_rounds=1)
+        CampaignEngine(small_config(), checkpoint_path=path).run(max_trials=3)
         other = CampaignEngine(
             small_config(trials=5), checkpoint_path=path
         )

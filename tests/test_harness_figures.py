@@ -1,6 +1,7 @@
 """Smoke/shape tests for the per-figure harness (small trace lengths)."""
 
 
+from repro.harness.cache import ReadThroughCache
 from repro.harness.figures import (
     ALL_FIGURES,
     ablation_victim_policy,
@@ -9,7 +10,9 @@ from repro.harness.figures import (
     figure_09,
     figure_10,
     figure_16,
+    run_figure,
 )
+from repro.harness.runner import ParallelRunner
 
 SMALL = 15_000
 BENCH_SUBSET = ("gzip", "mcf")
@@ -95,3 +98,18 @@ class TestJsonRoundTrip:
         parsed = json.loads(comparison_area().to_json())
         assert parsed["figure_id"] == "Comparison C3"
         assert len(parsed["rows"]) == 4
+
+
+class TestRunnerReplay:
+    def test_replay_outgrowing_the_store_simulates_nothing_twice(self):
+        # fig01 on two benchmarks is a grid of four distinct jobs; the
+        # store holds one, so a replay served from the store would
+        # re-simulate three of them.
+        n = 3_000
+        store = ReadThroughCache(None, shards=1, capacity_per_shard=1)
+        runner = ParallelRunner(jobs=1, cache=store)
+        result = run_figure(
+            "fig01", runner=runner, prefetch=True, n=n, benchmarks=BENCH_SUBSET
+        )
+        assert runner.stats.simulated == 4
+        assert result.rows == figure_01(n=n, benchmarks=BENCH_SUBSET).rows

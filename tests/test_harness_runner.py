@@ -7,11 +7,13 @@ under seeded fault injection — worker scheduling must never leak into
 the simulation.
 """
 
+import multiprocessing
 import signal
 
 import pytest
 
-from repro.harness.cache import ResultCache
+import repro.harness.runner as runner_mod
+from repro.harness.cache import ReadThroughCache, ResultCache
 from repro.harness.experiment import run_experiment
 from repro.harness.runner import (
     Job,
@@ -139,6 +141,44 @@ class TestRetryAndFailure:
         assert runner.stats.retries >= 1
 
     @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers must inherit the patched simulator entry point",
+    )
+    def test_pool_job_gets_the_full_retry_budget(self, tmp_path, monkeypatch):
+        # Every job fails its pool attempt and its first in-parent
+        # retry; retries=2 leaves one more attempt, which succeeds.
+        real = runner_mod._run_spec
+
+        def flaky(spec):
+            attempts = tmp_path / spec.key()
+            with attempts.open("a") as fh:
+                fh.write("x")
+            if len(attempts.read_text()) <= 2:
+                raise RuntimeError("flaky attempt")
+            return real(spec)
+
+        monkeypatch.setattr(runner_mod, "_run_spec", flaky)
+        runner = ParallelRunner(jobs=2, retries=2)
+        results = runner.run(_jobs()[:2])
+        assert [r.cycles for r in results] == [r.cycles for r in _serial()[:2]]
+        assert runner.stats.retries == 4
+        assert runner.stats.failures == 0
+
+    def test_error_names_the_attempt_budget(self):
+        runner = ParallelRunner(jobs=2, retries=2)
+        jobs = [
+            Job("gzip", "BaseP", dict(n_instructions=N)),
+            Job("gzip", "ICR-P-PS(S)", dict(n_instructions=N, nosuch_knob=1)),
+        ]
+        results = runner.run(jobs, on_error="return")
+        error = results[1]
+        assert isinstance(error, RunnerError)
+        assert "after 3 attempt(s)" in str(error)
+        assert "twice" not in str(error)
+        assert runner.stats.retries == 2
+        assert runner.stats.failures == 1
+
+    @pytest.mark.skipif(
         not hasattr(signal, "SIGALRM"), reason="needs POSIX interval timers"
     )
     def test_timeout_enforced(self):
@@ -167,6 +207,21 @@ class TestCachingBehavior:
         assert first == second
         assert runner.stats.simulated == len(GRID)
         assert runner.stats.cache_hits == len(GRID)
+
+    def test_given_store_is_used_directly(self):
+        store = ReadThroughCache(None, shards=1, capacity_per_shard=8)
+        runner = ParallelRunner(jobs=1, cache=store)
+        assert runner.store is store
+        (job,) = _jobs()[:1]
+        runner.run([job])
+        assert store.contains_in_memory(job.key())
+
+    def test_result_cache_is_wrapped_in_a_store(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        runner = ParallelRunner(jobs=1, cache=cache)
+        assert runner.store.backing is cache
+        runner.run(_jobs()[:1])
+        assert cache.stores == 1
 
     def test_duplicate_jobs_simulated_once(self):
         job = Job("gzip", "BaseP", dict(n_instructions=N))

@@ -1,10 +1,12 @@
-"""Tests for the work-stealing campaign scheduler.
+"""Tests for the streaming campaign engine's scheduling.
 
 The contract under test is the one DESIGN.md §12 argues for:
 
-* the stealing scheduler's final report is **byte-identical** to the
-  round scheduler's — across worker counts, with failing trials, under
-  adaptive stopping, and through interrupt/resume in either direction;
+* the engine's final report is **byte-identical** to the report the
+  batch-synchronous round engine recorded for the same config
+  (``tests/golden/campaign_*.json``) — across worker counts, with
+  failing trials, under adaptive stopping and speculative lookahead,
+  and through interrupt/resume at any point;
 * once a cell converges it schedules zero further trials (queued work
   is revoked mid-flight, staged speculative results are discarded);
 * two engines cooperating through a share directory partition the cell
@@ -26,8 +28,11 @@ from repro.harness.campaign import (
     create_engine,
 )
 from repro.harness.runner import Job, ParallelRunner, RunnerError
-from repro.harness.scheduler import StealingCampaignEngine
 from repro.harness.spec import ExperimentSpec
+from tests.campaign_reference import (
+    assert_matches_reference,
+    reference_body,
+)
 
 SMALL = dict(
     benchmarks=("gzip",),
@@ -55,39 +60,23 @@ def small_config(**over):
     return CampaignConfig(**merged)
 
 
-def round_report(config, **runner_kwargs):
-    return CampaignEngine(config, ParallelRunner(**runner_kwargs)).run()
-
-
 class TestByteIdenticalReports:
     def test_serial_matches_round(self):
-        config = small_config()
-        ref = round_report(config, jobs=1)
-        out = create_engine(
-            config, ParallelRunner(jobs=1), scheduler="stealing"
-        ).run()
-        assert ref.to_json() == out.to_json()
+        out = create_engine(small_config(), ParallelRunner(jobs=1)).run()
+        assert_matches_reference(out, "small")
 
     def test_pool_workers_match_round(self):
         config = small_config(trials=4, batch_size=2)
-        ref = round_report(config, jobs=1)
         for workers in (2, 3):
             out = create_engine(
-                config,
-                ParallelRunner(jobs=workers),
-                scheduler="stealing",
-                workers=workers,
+                config, ParallelRunner(jobs=workers), workers=workers
             ).run()
-            assert ref.to_json() == out.to_json(), f"workers={workers}"
+            assert_matches_reference(out, "pool")
 
     def test_adaptive_stopping_matches_round(self):
         config = small_config(**{k: ADAPTIVE[k] for k in ADAPTIVE})
-        ref = round_report(config, jobs=1)
-        engine = create_engine(
-            config, ParallelRunner(jobs=1), scheduler="stealing"
-        )
-        out = engine.run()
-        assert ref.to_json() == out.to_json()
+        out = create_engine(config, ParallelRunner(jobs=1)).run()
+        assert_matches_reference(out, "adaptive")
         assert all(o.stopped_early for o in out.outcomes)
 
     def test_failing_trials_match_round(self):
@@ -97,13 +86,8 @@ class TestByteIdenticalReports:
         config = small_config(
             trials=3, batch_size=3, scheme_kwargs={"nosuch_knob": 1}
         )
-        ref = round_report(config, jobs=1, retries=0)
-        out = create_engine(
-            config,
-            ParallelRunner(jobs=1, retries=0),
-            scheduler="stealing",
-        ).run()
-        assert ref.to_json() == out.to_json()
+        out = create_engine(config, ParallelRunner(jobs=1, retries=0)).run()
+        assert_matches_reference(out, "failing")
         failed = {
             o.cell.scheme: o.failed_attempts() for o in out.outcomes
         }
@@ -112,93 +96,62 @@ class TestByteIdenticalReports:
 
     def test_lookahead_depths_identical(self):
         config = small_config(**{k: ADAPTIVE[k] for k in ADAPTIVE})
-        ref = round_report(config, jobs=1)
         for lookahead in (0, 1, 4):
             out = create_engine(
-                config,
-                ParallelRunner(jobs=1),
-                scheduler="stealing",
-                lookahead_batches=lookahead,
+                config, ParallelRunner(jobs=1), lookahead_batches=lookahead
             ).run()
-            assert ref.to_json() == out.to_json(), f"lookahead={lookahead}"
+            assert_matches_reference(out, "adaptive")
 
 
 class TestInterruptResume:
     def test_stealing_resumes_stealing(self, tmp_path):
         config = small_config()
-        ref = round_report(config, jobs=1)
         ck = tmp_path / "ck.json"
         first = create_engine(
-            config,
-            ParallelRunner(jobs=1),
-            scheduler="stealing",
-            checkpoint_path=ck,
+            config, ParallelRunner(jobs=1), checkpoint_path=ck
         )
         partial = first.run(max_trials=5)
         assert not partial.complete
         second = create_engine(
-            config,
-            ParallelRunner(jobs=1),
-            scheduler="stealing",
-            checkpoint_path=ck,
+            config, ParallelRunner(jobs=1), checkpoint_path=ck
         )
         assert second.resumed
-        assert ref.to_json() == second.run().to_json()
+        assert_matches_reference(second.run(), "small")
 
-    def test_cross_scheduler_resume(self, tmp_path):
-        # A stealing checkpoint can land mid-batch; the round engine
-        # must refill to the same batch grid, and vice versa.
+    def test_resume_from_any_interruption_point(self, tmp_path):
+        # A checkpoint can land on a batch boundary or mid-batch, in
+        # one cell or several; the resumed engine must refill to the
+        # same batch grid either way.
         config = small_config()
-        ref = round_report(config, jobs=1)
-        ck = tmp_path / "ck.json"
-        create_engine(
-            config,
-            ParallelRunner(jobs=1),
-            scheduler="stealing",
-            checkpoint_path=ck,
-        ).run(max_trials=5)
-        finished_by_round = CampaignEngine(
-            config, ParallelRunner(jobs=1), checkpoint_path=ck
-        ).run()
-        assert ref.to_json() == finished_by_round.to_json()
-
-        ck2 = tmp_path / "ck2.json"
-        CampaignEngine(
-            config, ParallelRunner(jobs=1), checkpoint_path=ck2
-        ).run(max_rounds=1)
-        finished_by_stealing = create_engine(
-            config,
-            ParallelRunner(jobs=1),
-            scheduler="stealing",
-            checkpoint_path=ck2,
-        ).run()
-        assert ref.to_json() == finished_by_stealing.to_json()
+        for cut in (1, 3, 5, 6, 9):
+            ck = tmp_path / f"ck{cut}.json"
+            partial = create_engine(
+                config, ParallelRunner(jobs=1), checkpoint_path=ck
+            ).run(max_trials=cut)
+            committed = sum(len(o.records) for o in partial.outcomes)
+            assert committed == cut
+            resumed = create_engine(
+                config, ParallelRunner(jobs=1), checkpoint_path=ck
+            )
+            assert resumed.resumed
+            assert_matches_reference(resumed.run(), "small")
 
     def test_adaptive_resume_identical(self, tmp_path):
         config = small_config(**{k: ADAPTIVE[k] for k in ADAPTIVE})
-        ref = round_report(config, jobs=1)
         ck = tmp_path / "ck.json"
         create_engine(
-            config,
-            ParallelRunner(jobs=1),
-            scheduler="stealing",
-            checkpoint_path=ck,
+            config, ParallelRunner(jobs=1), checkpoint_path=ck
         ).run(max_trials=2)
         out = create_engine(
-            config,
-            ParallelRunner(jobs=1),
-            scheduler="stealing",
-            checkpoint_path=ck,
+            config, ParallelRunner(jobs=1), checkpoint_path=ck
         ).run()
-        assert ref.to_json() == out.to_json()
+        assert_matches_reference(out, "adaptive")
 
 
 class TestConvergenceCancellation:
     def test_converged_cell_schedules_nothing_further(self):
         config = small_config(**{k: ADAPTIVE[k] for k in ADAPTIVE})
-        engine = create_engine(
-            config, ParallelRunner(jobs=1), scheduler="stealing"
-        )
+        engine = create_engine(config, ParallelRunner(jobs=1))
         engine.run()
         # Replay the scheduler's event trace: once a cell's "cell-done"
         # event fires, no submit event for it may follow.
@@ -213,9 +166,7 @@ class TestConvergenceCancellation:
 
     def test_speculative_work_is_cancelled_and_discarded(self):
         config = small_config(**{k: ADAPTIVE[k] for k in ADAPTIVE})
-        engine = create_engine(
-            config, ParallelRunner(jobs=1), scheduler="stealing"
-        )
+        engine = create_engine(config, ParallelRunner(jobs=1))
         engine.run()
         t = engine.telemetry()
         # Every cell stops at min_trials=3 out of 30, so lookahead work
@@ -228,18 +179,13 @@ class TestConvergenceCancellation:
 
     def test_uncommitted_speculation_invisible_to_report(self):
         # The stopping decision must be a function of committed records
-        # only: the stealing run commits exactly the round run's set.
+        # only: the engine commits exactly the recorded round run's set.
         config = small_config(**{k: ADAPTIVE[k] for k in ADAPTIVE})
-        ref = CampaignEngine(config, ParallelRunner(jobs=1))
-        ref.run()
-        out = create_engine(
-            config, ParallelRunner(jobs=1), scheduler="stealing"
-        )
+        out = create_engine(config, ParallelRunner(jobs=1))
         out.run()
-        for cell in config.cells():
-            ref_keys = [
-                (r.index, r.attempt) for r in ref.outcomes[cell].records
-            ]
+        ref = json.loads(reference_body("adaptive", config))
+        for cell, ref_cell in zip(config.cells(), ref["cells"]):
+            ref_keys = [(r["index"], r["attempt"]) for r in ref_cell["records"]]
             out_keys = [
                 (r.index, r.attempt) for r in out.outcomes[cell].records
             ]
@@ -265,7 +211,6 @@ class TestCheckpointCadence:
         engine = create_engine(
             config,
             ParallelRunner(jobs=1),
-            scheduler="stealing",
             checkpoint_path=tmp_path / "ck.json",
             checkpoint_every_trials=1,
             checkpoint_interval=0.0,
@@ -280,7 +225,6 @@ class TestCheckpointCadence:
         engine = create_engine(
             config,
             ParallelRunner(jobs=1),
-            scheduler="stealing",
             checkpoint_path=ck,
             checkpoint_every_trials=1_000_000,
             checkpoint_interval=3_600.0,
@@ -295,21 +239,17 @@ class TestCheckpointCadence:
 class TestMultiHostCooperation:
     def test_two_engines_share_and_agree(self, tmp_path):
         config = small_config(trials=4, batch_size=2)
-        ref = round_report(config, jobs=1)
         cache = ResultCache(tmp_path / "cache")
         share = tmp_path / "share"
         kwargs = dict(
-            scheduler="stealing",
             share_dir=share,
             coop_interval=0.01,
             lease_ttl=10.0,
         )
         a = create_engine(config, ParallelRunner(jobs=1, cache=cache), **kwargs)
         b = create_engine(config, ParallelRunner(jobs=1, cache=cache), **kwargs)
-        report_a = a.run()
-        report_b = b.run()
-        assert ref.to_json() == report_a.to_json()
-        assert ref.to_json() == report_b.to_json()
+        assert_matches_reference(a.run(), "pool")
+        assert_matches_reference(b.run(), "pool")
         # The second engine found everything published and adopted it.
         assert b.telemetry()["records_adopted"] == sum(
             len(o.records) for o in b.outcomes.values()
@@ -320,10 +260,8 @@ class TestMultiHostCooperation:
         # leases must keep them off each other's cells while both are
         # mid-flight, and the union must converge to the full report.
         config = small_config(trials=4, batch_size=2)
-        ref = round_report(config, jobs=1)
         cache = ResultCache(tmp_path / "cache")
         kwargs = dict(
-            scheduler="stealing",
             share_dir=tmp_path / "share",
             coop_interval=0.0,
             lease_ttl=30.0,
@@ -335,8 +273,8 @@ class TestMultiHostCooperation:
             b.run(max_trials=1)
             if a.report().complete and b.report().complete:
                 break
-        assert ref.to_json() == a.report().to_json()
-        assert ref.to_json() == b.report().to_json()
+        assert_matches_reference(a.report(), "pool")
+        assert_matches_reference(b.report(), "pool")
 
     def test_stale_lease_takeover(self, tmp_path):
         config = small_config(trials=2, batch_size=2, schemes=("BaseP",))
@@ -345,7 +283,6 @@ class TestMultiHostCooperation:
         dead = create_engine(
             config,
             ParallelRunner(jobs=1),
-            scheduler="stealing",
             share_dir=share,
             lease_ttl=0.05,
         )
@@ -362,7 +299,6 @@ class TestMultiHostCooperation:
         engine = create_engine(
             config,
             ParallelRunner(jobs=1),
-            scheduler="stealing",
             share_dir=share,
             lease_ttl=0.05,
             coop_interval=0.0,
@@ -519,10 +455,8 @@ class TestBackendAutoDispatch:
         # trial population — only the digest itself differs.
         base = small_config(trials=2, batch_size=2)
         auto = small_config(trials=2, batch_size=2, backend="auto")
-        ref = round_report(base, jobs=1)
-        out = create_engine(
-            auto, ParallelRunner(jobs=1), scheduler="stealing"
-        ).run()
+        ref = create_engine(base, ParallelRunner(jobs=1)).run()
+        out = create_engine(auto, ParallelRunner(jobs=1)).run()
         ref_cells = ref.to_dict()["cells"]
         out_cells = out.to_dict()["cells"]
         assert ref_cells == out_cells
@@ -532,25 +466,21 @@ class TestEngineFactory:
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError, match="round"):
             create_engine(small_config(), scheduler="fifo")
+        with pytest.raises(ValueError, match="'round' scheduler was removed"):
+            create_engine(small_config(), scheduler="round")
 
     def test_factory_builds_expected_types(self):
-        assert isinstance(
-            create_engine(small_config(), scheduler="round"), CampaignEngine
-        )
+        assert isinstance(create_engine(small_config()), CampaignEngine)
         engine = create_engine(small_config(), scheduler="stealing")
-        assert isinstance(engine, StealingCampaignEngine)
-        assert engine.SCHEDULER == "stealing"
+        assert isinstance(engine, CampaignEngine)
 
     def test_telemetry_shape(self):
         engine = create_engine(
-            small_config(trials=2, batch_size=2),
-            ParallelRunner(jobs=1),
-            scheduler="stealing",
+            small_config(trials=2, batch_size=2), ParallelRunner(jobs=1)
         )
         engine.run()
         t = engine.telemetry()
         for key in (
-            "scheduler",
             "trials_committed",
             "checkpoint_writes",
             "utilization",
@@ -565,7 +495,6 @@ class TestEngineFactory:
             "runner",
         ):
             assert key in t, key
-        assert t["scheduler"] == "stealing"
         assert 0.0 <= t["utilization"] <= 1.0
         for summary in t["backend_latency"].values():
             assert summary["count"] == sum(

@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.api import ExperimentSpec, run_experiment
+from repro.api import ExperimentSpec, SimulationResult, run_experiment
 from repro.service import (
     ServiceClient,
     ServiceConfig,
@@ -373,10 +373,11 @@ class TestReviewHardening:
             client = ServiceClient(port=st.port)
             client.run(SPEC, timeout=120)
             assert st.service is not None
+            # The runner keeps no results of its own: the store is its.
+            assert st.service.runner.store is st.service.store
             for shard in st.service.store._shards:
                 with shard.lock:
                     shard.entries.clear()
-            st.service.runner._memo.clear()
             for file in (tmp_path / "cache").rglob("*.json"):
                 file.unlink()
             resubmitted = client.submit(SPEC)
@@ -384,3 +385,41 @@ class TestReviewHardening:
             payload = client.wait(SPEC.key(), timeout=120)
             assert payload["result"] is not None
             assert client.telemetry()["runner"]["simulated"] == 2
+
+
+def _result_maps(obj) -> dict[str, int]:
+    """Sizes of *obj*'s attributes that map keys to simulation results."""
+    return {
+        name: len(value)
+        for name, value in vars(obj).items()
+        if isinstance(value, dict)
+        and any(isinstance(v, SimulationResult) for v in value.values())
+    }
+
+
+class TestBoundedMemory:
+    def test_result_counts_stay_within_the_store(self, tmp_path):
+        """A long-lived server holds no more results than its store's
+        capacity, however many distinct specs pass through it."""
+        capacity = 4
+        config = _config(
+            tmp_path, store_shards=1, store_capacity_per_shard=capacity
+        )
+        specs = [
+            ExperimentSpec(
+                "gzip", "BaseP", n_instructions=2000,
+                error_rate=1e-3, error_seed=seed,
+            )
+            for seed in range(20)
+        ]
+        with ServiceThread(config) as st:
+            client = ServiceClient(port=st.port)
+            for spec in specs:
+                client.run(spec, timeout=120)
+            assert st.service is not None
+            runner = st.service.runner
+            assert client.telemetry()["runner"]["simulated"] == len(specs)
+            assert st.service.store.stats()["entries"] <= capacity
+            for name, count in _result_maps(runner).items():
+                assert count <= capacity, f"runner.{name} holds {count} results"
+            assert runner.store.stats()["entries"] <= capacity
