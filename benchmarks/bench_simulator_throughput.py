@@ -1,16 +1,21 @@
 """Micro-benchmarks of the simulator itself (proper pytest-benchmark use).
 
-These track the throughput of the hot paths — cache accesses, SEC-DED
-encode/decode, pipeline scheduling, trace generation — so performance
+These track the throughput of the hot paths — cache accesses, the SEC-DED
+and byte-parity codecs, protected-word storage, pipeline scheduling,
+trace generation — so performance
 regressions in the substrate are visible independently of the figure
 suite.
 """
 
 import random
 
+import pytest
+
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.cache.set_assoc import CacheGeometry, SetAssociativeCache
-from repro.coding.hamming import decode, encode
+from repro.coding.hamming import decode, encode, extract_data
+from repro.coding.parity import byte_parity_bits
+from repro.coding.protection import STORED_BITS, ProtectedWord, ProtectionKind
 from repro.core.schemes import make_cache
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.harness.runner import Job, ParallelRunner
@@ -46,16 +51,57 @@ def test_icr_cache_access_throughput(benchmark):
     benchmark(run)
 
 
+WORDS = [(i * 0x9E3779B97F4A7C15) & ((1 << 64) - 1) for i in range(2_000)]
+
+
 def test_secded_encode_throughput(benchmark):
-    words = [((i * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)) for i in range(2_000)]
-    benchmark(lambda: [encode(w) for w in words])
+    benchmark(lambda: [encode(w) for w in WORDS])
 
 
 def test_secded_decode_throughput(benchmark):
-    codewords = [
-        encode((i * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)) for i in range(2_000)
-    ]
+    codewords = [encode(w) for w in WORDS]
     benchmark(lambda: [decode(c) for c in codewords])
+
+
+def test_secded_extract_throughput(benchmark):
+    codewords = [encode(w) for w in WORDS]
+    benchmark(lambda: [extract_data(c) for c in codewords])
+
+
+def test_byte_parity_throughput(benchmark):
+    benchmark(lambda: [byte_parity_bits(w) for w in WORDS])
+
+
+@pytest.mark.parametrize("kind", list(ProtectionKind), ids=lambda k: k.value)
+def test_protected_word_write_throughput(benchmark, kind):
+    word = ProtectedWord(kind)
+
+    def run():
+        for w in WORDS:
+            word.write(w)
+
+    benchmark(run)
+
+
+@pytest.mark.parametrize("kind", list(ProtectionKind), ids=lambda k: k.value)
+def test_protected_word_read_throughput(benchmark, kind):
+    # Every third word carries a single-bit fault, as in a busy campaign.
+    cells = [ProtectedWord(kind, w) for w in WORDS]
+    for i, cell in enumerate(cells[::3]):
+        cell.flip_bit(i % STORED_BITS)
+    benchmark(lambda: [cell.read() for cell in cells])
+
+
+@pytest.mark.parametrize("kind", list(ProtectionKind), ids=lambda k: k.value)
+def test_protected_word_flip_throughput(benchmark, kind):
+    word = ProtectedWord(kind, WORDS[1])
+    bits = [i % STORED_BITS for i in range(2_000)]
+
+    def run():
+        for bit in bits:
+            word.flip_bit(bit)
+
+    benchmark(run)
 
 
 def test_pipeline_throughput(benchmark):

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 DATA_BITS = 64
 CHECK_BITS = 8  # 7 Hamming bits + 1 overall parity bit
 CODEWORD_BITS = DATA_BITS + CHECK_BITS  # 72
-_DATA_MASK = (1 << DATA_BITS) - 1
 
 # Codeword layout: positions 1..71 form the (71, 64) Hamming code; check
 # bits live at positions 1, 2, 4, 8, 16, 32, 64 and data bits fill the rest
@@ -67,48 +66,102 @@ def _parity(value: int) -> int:
     return value.bit_count() & 1
 
 
+# -- byte-sliced lookup tables ---------------------------------------------
+#
+# Encoding, data extraction and the syndrome are all linear maps over
+# GF(2): the image of a word is the XOR of the images of its set bits (the
+# "columns" of the map).  Slicing the input into bytes, the image of one
+# byte value is the XOR of at most eight columns, so a 256-entry table per
+# byte slice turns each map into one lookup and one XOR per input byte.
+# Linearity makes the tables agree with the bit-by-bit definition on every
+# input, not just on the inputs the tests sample.
+
+
+def _byte_tables(columns: list[int]) -> tuple[tuple[int, ...], ...]:
+    """One 256-entry table per 8 columns: entry *b* XORs the columns of *b*."""
+    tables = []
+    for base in range(0, len(columns), 8):
+        table = [0]
+        for column in columns[base : base + 8]:
+            # Entries 2**j .. 2**(j+1)-1 are the earlier ones plus column j.
+            table += [entry ^ column for entry in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _data_column(pos: int) -> int:
+    """Codeword of the data word whose only set bit sits at position *pos*.
+
+    Hamming check bit ``2**i`` covers *pos* exactly when bit *i* of *pos*
+    is set, and the overall parity bit makes the 72-bit total even.
+    """
+    checks = 0
+    for i, check_pos in enumerate(_CHECK_POSITIONS):
+        if (pos >> i) & 1:
+            checks |= 1 << check_pos
+    return (1 << pos) | checks | ((1 + pos.bit_count()) & 1)
+
+
+_E0, _E1, _E2, _E3, _E4, _E5, _E6, _E7 = _byte_tables(
+    [_data_column(pos) for pos in _DATA_POSITIONS]
+)
+_DATA_INDEX = {pos: i for i, pos in enumerate(_DATA_POSITIONS)}
+_X0, _X1, _X2, _X3, _X4, _X5, _X6, _X7, _X8 = _byte_tables(
+    [
+        1 << _DATA_INDEX[pos] if pos in _DATA_INDEX else 0
+        for pos in range(CODEWORD_BITS)
+    ]
+)
+# Position p contributes p to the syndrome; position 0 (the overall
+# parity bit) contributes 0, i.e. nothing.
+_S0, _S1, _S2, _S3, _S4, _S5, _S6, _S7, _S8 = _byte_tables(list(range(CODEWORD_BITS)))
+
+
 def encode(data: int) -> int:
-    """Encode a 64-bit word into a 72-bit SEC-DED codeword."""
-    data &= _DATA_MASK
-    codeword = 0
-    for i, pos in enumerate(_DATA_POSITIONS):
-        if (data >> i) & 1:
-            codeword |= 1 << pos
-    # Hamming check bit at position 2**i covers every position whose binary
-    # representation has bit i set.
-    for i, pos in enumerate(_CHECK_POSITIONS):
-        covered = 0
-        for p in range(1, CODEWORD_BITS):
-            if p & pos and (codeword >> p) & 1:
-                covered ^= 1
-        if covered:
-            codeword |= 1 << pos
-    # Overall parity over positions 1..71 stored at position 0.
-    if _parity(codeword >> 1):
-        codeword |= 1
-    return codeword
+    """Encode a 64-bit word into a 72-bit SEC-DED codeword.
+
+    Bits of *data* above bit 63 are ignored.
+    """
+    return (
+        _E0[data & 0xFF]
+        ^ _E1[(data >> 8) & 0xFF]
+        ^ _E2[(data >> 16) & 0xFF]
+        ^ _E3[(data >> 24) & 0xFF]
+        ^ _E4[(data >> 32) & 0xFF]
+        ^ _E5[(data >> 40) & 0xFF]
+        ^ _E6[(data >> 48) & 0xFF]
+        ^ _E7[(data >> 56) & 0xFF]
+    )
 
 
 def _syndrome(codeword: int) -> int:
     """XOR of the positions of all set bits in positions 1..71."""
-    syndrome = 0
-    rest = codeword >> 1
-    pos = 1
-    while rest:
-        if rest & 1:
-            syndrome ^= pos
-        rest >>= 1
-        pos += 1
-    return syndrome
+    return (
+        _S0[codeword & 0xFF]
+        ^ _S1[(codeword >> 8) & 0xFF]
+        ^ _S2[(codeword >> 16) & 0xFF]
+        ^ _S3[(codeword >> 24) & 0xFF]
+        ^ _S4[(codeword >> 32) & 0xFF]
+        ^ _S5[(codeword >> 40) & 0xFF]
+        ^ _S6[(codeword >> 48) & 0xFF]
+        ^ _S7[(codeword >> 56) & 0xFF]
+        ^ _S8[(codeword >> 64) & 0xFF]
+    )
 
 
 def extract_data(codeword: int) -> int:
     """Pull the 64 data bits out of a codeword without any checking."""
-    data = 0
-    for i, pos in enumerate(_DATA_POSITIONS):
-        if (codeword >> pos) & 1:
-            data |= 1 << i
-    return data
+    return (
+        _X0[codeword & 0xFF]
+        ^ _X1[(codeword >> 8) & 0xFF]
+        ^ _X2[(codeword >> 16) & 0xFF]
+        ^ _X3[(codeword >> 24) & 0xFF]
+        ^ _X4[(codeword >> 32) & 0xFF]
+        ^ _X5[(codeword >> 40) & 0xFF]
+        ^ _X6[(codeword >> 48) & 0xFF]
+        ^ _X7[(codeword >> 56) & 0xFF]
+        ^ _X8[(codeword >> 64) & 0xFF]
+    )
 
 
 def decode(codeword: int) -> DecodeResult:
@@ -142,10 +195,10 @@ def decode(codeword: int) -> DecodeResult:
 
 
 class EccWord:
-    """A 64-bit word stored as a SEC-DED codeword, for fault injection.
+    """A single-code cell: a 64-bit word stored as a SEC-DED codeword.
 
-    Mirrors :class:`repro.coding.parity.ParityWord` so the error injector can
-    treat protected words uniformly.
+    The cache's word storage is :class:`repro.coding.protection.ProtectedWord`,
+    whose ECC layout is exactly :attr:`codeword`.
     """
 
     __slots__ = ("codeword",)

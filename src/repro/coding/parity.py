@@ -17,10 +17,6 @@ WORD_BITS = 64
 BYTES_PER_WORD = WORD_BITS // 8
 _WORD_MASK = (1 << WORD_BITS) - 1
 
-# Parity of every byte value, precomputed: _BYTE_PARITY[b] is 1 when b has an
-# odd number of set bits.
-_BYTE_PARITY = bytes(bin(b).count("1") & 1 for b in range(256))
-
 
 def byte_parity_bits(word: int) -> int:
     """Return the 8 even-parity bits for a 64-bit word.
@@ -29,12 +25,14 @@ def byte_parity_bits(word: int) -> int:
     significant byte).  With even parity the stored bit simply equals the
     XOR-reduction of the byte.
     """
+    # Fold each byte onto its lowest bit (shifts 4 + 2 + 1 never cross into
+    # the next byte's low bit), then gather the eight low bits into one
+    # byte: the multiplier moves bit 8*i to bit 56 + i without carries.
     word &= _WORD_MASK
-    bits = 0
-    for i in range(BYTES_PER_WORD):
-        if _BYTE_PARITY[(word >> (8 * i)) & 0xFF]:
-            bits |= 1 << i
-    return bits
+    word ^= word >> 4
+    word ^= word >> 2
+    word ^= word >> 1
+    return ((word & 0x0101010101010101) * 0x0102040810204080 >> 56) & 0xFF
 
 
 def check_parity(word: int, parity_bits: int) -> bool:
@@ -54,11 +52,12 @@ def failing_bytes(word: int, parity_bits: int) -> list[int]:
 
 
 class ParityWord:
-    """A 64-bit word stored together with its per-byte parity bits.
+    """A single-code cell: a 64-bit word with its per-byte parity bits.
 
-    This is the storage-cell model used by the fault-injection experiments:
-    errors flip bits of :attr:`data` (or, more rarely, of :attr:`parity`)
-    after encoding, and :meth:`check` replays the read-time verification.
+    Faults flip bits of :attr:`data` or of :attr:`parity` after encoding,
+    and :meth:`check` replays the read-time verification.  The cache's word
+    storage is :class:`repro.coding.protection.ProtectedWord`, whose parity
+    layout is ``data | parity << 64``.
     """
 
     __slots__ = ("data", "parity")

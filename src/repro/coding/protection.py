@@ -19,7 +19,19 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.coding import hamming, parity
+from repro.coding.hamming import (
+    _DATA_POSITIONS,
+    CODEWORD_BITS,
+    DecodeStatus,
+    decode,
+    encode,
+    extract_data,
+)
+from repro.coding.parity import WORD_BITS, byte_parity_bits, check_parity
+
+#: Stored cells per word, the same for both kinds: 64 data + 8 check bits.
+STORED_BITS = CODEWORD_BITS
+_WORD_MASK = (1 << WORD_BITS) - 1
 
 
 class ProtectionKind(enum.Enum):
@@ -56,49 +68,64 @@ class CheckOutcome:
 class ProtectedWord:
     """A stored 64-bit word under a chosen :class:`ProtectionKind`.
 
-    This wrapper gives the fault injector and the recovery logic a single
-    interface regardless of the underlying code.
+    The 72 stored cells live in one integer, :attr:`bits`, in the layout a
+    strike sees them: the SEC-DED codeword for ``ECC``, and the data with
+    its byte-parity bits above it (``data | parity << 64``) for ``PARITY``.
+    Bit *b* of :attr:`bits` is therefore fault site *b* of
+    :mod:`repro.errors.models` for both kinds.
     """
 
-    __slots__ = ("kind", "_cell")
+    __slots__ = ("kind", "bits")
 
     def __init__(self, kind: ProtectionKind, data: int = 0):
         self.kind = kind
-        if kind is ProtectionKind.PARITY:
-            self._cell = parity.ParityWord(data)
-        else:
-            self._cell = hamming.EccWord(data)
+        self.write(data)
 
     def write(self, data: int) -> None:
         """Store *data*, regenerating check bits."""
-        self._cell.write(data)
+        if self.kind is ProtectionKind.ECC:
+            self.bits = encode(data)
+        else:
+            data &= _WORD_MASK
+            self.bits = data | byte_parity_bits(data) << WORD_BITS
 
     @property
     def raw_data(self) -> int:
         """Raw (possibly corrupted) data bits, bypassing verification."""
-        return self._cell.data
+        if self.kind is ProtectionKind.ECC:
+            return extract_data(self.bits)
+        return self.bits & _WORD_MASK
+
+    def flip_bit(self, bit: int) -> None:
+        """Inject a transient fault into stored cell *bit* (0..71)."""
+        if not 0 <= bit < STORED_BITS:
+            raise ValueError(f"bit index {bit} out of range for a stored word")
+        self.bits ^= 1 << bit
 
     def flip_data_bit(self, bit: int) -> None:
-        """Inject a transient fault into data bit *bit*."""
-        if self.kind is ProtectionKind.PARITY:
-            self._cell.flip_data_bit(bit)
-        else:
+        """Inject a transient fault into data bit *bit* (0..63)."""
+        if not 0 <= bit < WORD_BITS:
+            raise ValueError(f"bit index {bit} out of range for a 64-bit word")
+        if self.kind is ProtectionKind.ECC:
             # Map the data-bit index onto its codeword position.
-            self._cell.flip_bit(hamming._DATA_POSITIONS[bit])
+            bit = _DATA_POSITIONS[bit]
+        self.bits ^= 1 << bit
 
     def read(self) -> CheckOutcome:
         """Verify (and for ECC, correct) the stored word."""
-        if self.kind is ProtectionKind.PARITY:
-            ok = self._cell.check()
-            return CheckOutcome(
-                error_detected=not ok, corrected=False, data=self._cell.data
-            )
-        result = self._cell.read()
-        if result.status is hamming.DecodeStatus.OK:
-            return CheckOutcome(False, False, result.data)
-        if result.status is hamming.DecodeStatus.CORRECTED:
-            return CheckOutcome(True, True, result.data)
-        return CheckOutcome(True, False, result.data)
+        if self.kind is ProtectionKind.ECC:
+            result = decode(self.bits)
+            if result.status is DecodeStatus.OK:
+                return CheckOutcome(False, False, result.data)
+            if result.status is DecodeStatus.CORRECTED:
+                return CheckOutcome(True, True, result.data)
+            return CheckOutcome(True, False, result.data)
+        data = self.bits & _WORD_MASK
+        return CheckOutcome(
+            error_detected=not check_parity(data, self.bits >> WORD_BITS),
+            corrected=False,
+            data=data,
+        )
 
 
 def protection_energy_fraction(

@@ -19,9 +19,6 @@ import math
 import random
 from typing import Optional
 
-from repro.coding.hamming import CODEWORD_BITS
-from repro.coding.parity import WORD_BITS
-from repro.coding.protection import ProtectionKind
 from repro.errors.models import ErrorModel, FaultSite, make_model
 
 
@@ -98,22 +95,14 @@ class FaultInjector:
         return flips
 
     def _apply(self, site: FaultSite) -> None:
-        """Flip one stored bit, honouring the word's protection layout."""
+        """Flip one stored bit; sites 0..71 are the word's stored cells."""
         block = self.cache.sets[site.set_index][site.way]
         if not block.valid or block.words is None:
             return
         if site.word_index >= len(block.words):
             return
-        word = block.words[site.word_index]
         self.cache.stats.errors_injected += 1
-        if block.protection is ProtectionKind.ECC:
-            # Bits 0..71 address the full codeword.
-            word._cell.flip_bit(site.bit % CODEWORD_BITS)
-            return
-        if site.bit < WORD_BITS:
-            word._cell.flip_data_bit(site.bit)
-        else:
-            word._cell.flip_parity_bit(site.bit - WORD_BITS)
+        block.words[site.word_index].flip_bit(site.bit)
 
     def force_fault(self, site: FaultSite) -> None:
         """Apply a specific fault immediately (deterministic tests)."""

@@ -17,8 +17,9 @@ one occurs:
 
 Faults are expressed as ``FaultSite`` records; the injector applies them to
 the bit-accurate word storage.  Bit indices cover the *whole* protected
-word — data bits and check bits alike — since a real strike does not know
-which cells hold parity.
+word — data bits and check bits alike, ``0..STORED_BITS-1`` for either
+protection kind — since a real strike does not know which cells hold
+parity.
 """
 
 from __future__ import annotations
@@ -27,10 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
-from repro.cache.block import CacheBlock
-from repro.coding.hamming import CODEWORD_BITS
-from repro.coding.parity import BYTES_PER_WORD, WORD_BITS
-from repro.coding.protection import ProtectionKind
+from repro.coding.protection import STORED_BITS
 
 
 @dataclass(frozen=True)
@@ -49,13 +47,6 @@ class ErrorModel(Protocol):
     name: str
 
     def sites(self, cache, rng: random.Random) -> Iterable[FaultSite]: ...
-
-
-def _protected_bits(block: CacheBlock) -> int:
-    """Number of injectable bits per word for this line's protection."""
-    if block.protection is ProtectionKind.ECC:
-        return CODEWORD_BITS  # 72: data + check bits as one codeword
-    return WORD_BITS + BYTES_PER_WORD  # 64 data + 8 parity cells
 
 
 def _random_valid_line(cache, rng: random.Random, tries: int = 64):
@@ -82,7 +73,7 @@ class RandomModel:
             return []
         set_index, way, block = found
         word = rng.randrange(len(block.words))
-        bit = rng.randrange(_protected_bits(block))
+        bit = rng.randrange(STORED_BITS)
         return [FaultSite(set_index, way, word, bit)]
 
 
@@ -104,7 +95,7 @@ class DirectModel:
                 continue
             way, block = max(candidates, key=lambda wb: wb[1].lru_stamp)
             word = rng.randrange(len(block.words))
-            bit = rng.randrange(_protected_bits(block))
+            bit = rng.randrange(STORED_BITS)
             return [FaultSite(set_index, way, word, bit)]
         return []
 
@@ -120,8 +111,7 @@ class AdjacentModel:
             return []
         set_index, way, block = found
         word = rng.randrange(len(block.words))
-        width = _protected_bits(block)
-        bit = rng.randrange(width - 1)
+        bit = rng.randrange(STORED_BITS - 1)
         return [
             FaultSite(set_index, way, word, bit),
             FaultSite(set_index, way, word, bit + 1),
@@ -140,18 +130,14 @@ class ColumnModel:
         set_index, way, block = found
         assoc = cache.geometry.associativity
         word = rng.randrange(len(block.words))
-        width = _protected_bits(block)
-        bit = rng.randrange(width)
+        bit = rng.randrange(STORED_BITS)
         sites = [FaultSite(set_index, way, word, bit)]
         # The vertically adjacent cell: the nearest other valid way.
         for offset in range(1, assoc):
             other_way = (way + offset) % assoc
             other = cache.sets[set_index][other_way]
             if other.valid and other.words is not None:
-                other_width = _protected_bits(other)
-                sites.append(
-                    FaultSite(set_index, other_way, word, min(bit, other_width - 1))
-                )
+                sites.append(FaultSite(set_index, other_way, word, bit))
                 break
         return sites
 
@@ -180,13 +166,12 @@ class BurstModel:
         set_index, way, block = found
         n_words = len(block.words)
         word = rng.randrange(n_words)
-        width = _protected_bits(block)
-        start = rng.randrange(width)
+        start = rng.randrange(STORED_BITS)
         length = rng.randint(self.MIN_LENGTH, self.MAX_LENGTH)
         sites = []
         for offset in range(length):
             bit = start + offset
-            w, b = word + bit // width, bit % width
+            w, b = word + bit // STORED_BITS, bit % STORED_BITS
             if w >= n_words:
                 break  # burst ran off the end of the line
             sites.append(FaultSite(set_index, way, w, b))

@@ -1,4 +1,10 @@
-"""Unit and property tests for the (72, 64) SEC-DED Hamming code."""
+"""Unit and property tests for the (72, 64) SEC-DED Hamming code.
+
+The codec under test is table-driven.  The bit-serial definitions below
+are its oracle: they walk the codeword layout one position at a time, the
+way the code is specified, and the table codec must agree with them bit
+for bit.
+"""
 
 import itertools
 
@@ -7,10 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coding.hamming import (
+    _CHECK_POSITIONS,
+    _DATA_POSITIONS,
     CODEWORD_BITS,
     DATA_BITS,
     DecodeStatus,
     EccWord,
+    _syndrome,
     decode,
     encode,
     extract_data,
@@ -18,6 +27,93 @@ from repro.coding.hamming import (
 
 WORDS = st.integers(min_value=0, max_value=(1 << 64) - 1)
 BITS = st.integers(min_value=0, max_value=CODEWORD_BITS - 1)
+FLIP_SETS = st.sets(BITS, max_size=6)
+FIXED_WORDS = (0, 0xFFFF_FFFF_FFFF_FFFF, 0xDEADBEEF_CAFEBABE)
+
+
+# -- bit-serial reference codec ---------------------------------------------
+
+
+def serial_encode(data: int) -> int:
+    data &= (1 << DATA_BITS) - 1
+    codeword = 0
+    for i, pos in enumerate(_DATA_POSITIONS):
+        if (data >> i) & 1:
+            codeword |= 1 << pos
+    # Hamming check bit at position 2**i covers every position whose binary
+    # representation has bit i set.
+    for pos in _CHECK_POSITIONS:
+        covered = 0
+        for p in range(1, CODEWORD_BITS):
+            if p & pos and (codeword >> p) & 1:
+                covered ^= 1
+        if covered:
+            codeword |= 1 << pos
+    # Overall parity over positions 1..71 stored at position 0.
+    if (codeword >> 1).bit_count() & 1:
+        codeword |= 1
+    return codeword
+
+
+def serial_syndrome(codeword: int) -> int:
+    syndrome = 0
+    rest = codeword >> 1
+    pos = 1
+    while rest:
+        if rest & 1:
+            syndrome ^= pos
+        rest >>= 1
+        pos += 1
+    return syndrome
+
+
+def serial_extract_data(codeword: int) -> int:
+    data = 0
+    for i, pos in enumerate(_DATA_POSITIONS):
+        if (codeword >> pos) & 1:
+            data |= 1 << i
+    return data
+
+
+def flipped(codeword: int, bits) -> int:
+    for bit in bits:
+        codeword ^= 1 << bit
+    return codeword
+
+
+def assert_codeword_maps_agree(codeword: int) -> None:
+    assert extract_data(codeword) == serial_extract_data(codeword)
+    assert _syndrome(codeword) == serial_syndrome(codeword)
+
+
+class TestTableCodecMatchesBitSerial:
+    def test_unit_vectors_encode(self):
+        for i in range(DATA_BITS):
+            assert encode(1 << i) == serial_encode(1 << i), f"data bit {i}"
+
+    def test_unit_vectors_extract_and_syndrome(self):
+        for bit in range(CODEWORD_BITS):
+            assert_codeword_maps_agree(1 << bit)
+
+    @pytest.mark.parametrize("word", FIXED_WORDS)
+    def test_every_single_and_double_flip(self, word):
+        codeword = serial_encode(word)
+        assert encode(word) == codeword
+        for bit in range(CODEWORD_BITS):
+            assert_codeword_maps_agree(flipped(codeword, [bit]))
+        for pair in itertools.combinations(range(CODEWORD_BITS), 2):
+            assert_codeword_maps_agree(flipped(codeword, pair))
+
+    @given(st.integers(min_value=0, max_value=(1 << 80) - 1))
+    @settings(max_examples=300)
+    def test_random_words_encode(self, word):
+        # Bits above 63 are ignored by both.
+        assert encode(word) == serial_encode(word)
+
+    @given(WORDS, FLIP_SETS)
+    @settings(max_examples=300)
+    def test_random_flip_sets(self, word, bits):
+        assert_codeword_maps_agree(flipped(serial_encode(word), bits))
 
 
 class TestEncode:

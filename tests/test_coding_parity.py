@@ -1,7 +1,7 @@
 """Unit and property tests for byte-granularity even parity."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coding.parity import (
@@ -14,6 +14,32 @@ from repro.coding.parity import (
 )
 
 WORDS = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+def serial_byte_parity_bits(word: int) -> int:
+    """Reference: one XOR-reduction per byte, bit by bit."""
+    bits = 0
+    for i in range(BYTES_PER_WORD):
+        byte = (word >> (8 * i)) & 0xFF
+        bits |= (bin(byte).count("1") & 1) << i
+    return bits
+
+
+class TestByteParityMatchesPerByteLoop:
+    def test_unit_vectors(self):
+        for bit in range(WORD_BITS):
+            assert byte_parity_bits(1 << bit) == serial_byte_parity_bits(1 << bit)
+
+    def test_every_byte_value_in_every_lane(self):
+        for lane in range(BYTES_PER_WORD):
+            for value in range(256):
+                word = value << (8 * lane)
+                assert byte_parity_bits(word) == serial_byte_parity_bits(word)
+
+    @given(st.integers(min_value=0, max_value=(1 << 80) - 1))
+    @settings(max_examples=300)
+    def test_random_words(self, word):
+        assert byte_parity_bits(word) == serial_byte_parity_bits(word)
 
 
 class TestByteParityBits:

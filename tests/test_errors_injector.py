@@ -228,7 +228,7 @@ class TestRecoveryPaths:
         replica = primary.replica_refs[0]
         injector = FaultInjector(cache, 0.0)
         injector.force_fault(site_of(cache, 0, word=0, bit=3))
-        replica.words[0]._cell.flip_data_bit(5)
+        replica.words[0].flip_data_bit(5)
         cache.access(0, False, 1)
         assert cache.stats.load_errors_unrecoverable == 1
 
