@@ -241,8 +241,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-trial wall-clock budget (crashed/hung trials are "
-        "retried with a fresh seed)",
+        help="per-trial wall-clock budget, checked every 16,384 simulated "
+        "instructions on any thread or platform (the native phase-2 "
+        "kernel is not interrupted); crashed/timed-out trials are "
+        "retried with a fresh seed",
     )
     campaign.add_argument(
         "--checkpoint",
@@ -303,7 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-job wall-clock budget",
+        help="per-job wall-clock budget, checked every 16,384 simulated "
+        "instructions on the execution and campaign threads alike (the "
+        "native phase-2 kernel is not interrupted)",
     )
     _add_runner_flags(serve)
 
@@ -570,8 +574,7 @@ def _telemetry_line(t: dict) -> str:
         f"{t['checkpoint_writes']} checkpoint writes · "
         f"{t['utilization'] * 100:.0f}% util · "
         f"{t['steals']} steals · "
-        f"{t['cancelled_savings']} cancelled · "
-        f"{t['speculative_duplicates']} dups"
+        f"{t['cancelled_savings']} cancelled"
     )
     if t["records_adopted"] or t["helper_trials"]:
         line += (

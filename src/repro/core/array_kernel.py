@@ -49,18 +49,18 @@ a spec resolves to.
 Engineering note: the *canonical* hot-path state is kept in plain Python
 lists (CPython scalar indexing beats numpy scalar indexing by an order
 of magnitude); numpy enters where work is genuinely batched — the
-outcome-code → latency translation over the whole trace, and the
-:meth:`ArrayDL1.state_arrays` export (tags, flags, LRU ages, replica
-map, decay counters) used by tests and tools.
+outcome-code → latency translation over the whole trace.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
 
+from repro import deadline
 from repro.cache.set_assoc import CacheGeometry, Eviction
 from repro.cache.stats import CacheStats
 from repro.coding.protection import ProtectionKind
@@ -798,52 +798,6 @@ class ArrayDL1:
         ]
         entries.append(f)
 
-    # -- introspection -------------------------------------------------
-
-    def state_arrays(self, now: int = 0) -> dict[str, np.ndarray]:
-        """Numpy snapshot of the full SoA state (tests, tools, debugging).
-
-        ``replica_map`` is the primary frame of each replica (-1
-        elsewhere); ``decay_counter`` is the 2-bit saturating decay
-        counter each line would show at cycle *now*.
-        """
-        lru = np.asarray(self._lru, dtype=np.int64)
-        if self._never_dead:
-            decay = np.zeros(self._n_frames, dtype=np.int64)
-        elif self._always_dead:
-            decay = np.full(self._n_frames, 4, dtype=np.int64)
-        else:
-            tick = self._tick
-            last = np.asarray(self._last, dtype=np.int64)
-            decay = np.clip(now // tick - last // tick, 0, 4)
-        return {
-            "tag": np.asarray(self._tag, dtype=np.int64),
-            "valid": np.asarray(self._valid, dtype=np.bool_),
-            "dirty": np.asarray(self._dirty, dtype=np.bool_),
-            "is_replica": np.asarray(self._is_rep, dtype=np.bool_),
-            "lru_stamp": lru,
-            "lru_age": self._lru_clock - lru,
-            "last_access": np.asarray(self._last, dtype=np.int64),
-            "protection": np.asarray(self._prot, dtype=np.int8),
-            "replica_map": np.asarray(self._prim, dtype=np.int64),
-            "decay_counter": decay,
-        }
-
-    def contents_summary(self) -> dict[str, int]:
-        """Census of line roles (same shape as the object kernel's)."""
-        summary = {"valid": 0, "dirty": 0, "replicas": 0, "primaries": 0}
-        for f in range(self._n_frames):
-            if not self._valid[f]:
-                continue
-            summary["valid"] += 1
-            if self._dirty[f]:
-                summary["dirty"] += 1
-            if self._is_rep[f]:
-                summary["replicas"] += 1
-            else:
-                summary["primaries"] += 1
-        return summary
-
 
 # ---------------------------------------------------------------------------
 # plain SoA cache (L2 / iL1 substrate of the batched engine)
@@ -1134,7 +1088,12 @@ def run_batched(spec, profile, config: ICRConfig, machine):
     i_probes = i_loads = i_lhits = i_reads = 0
 
     pending_reset = reset_at if 0 < reset_at < n else -1
+    expires = deadline.current()
+    check_at = deadline.CHECK_INTERVAL
     for idx in interesting:
+        if idx >= check_at:
+            deadline.check(expires)
+            check_at = idx + deadline.CHECK_INTERVAL
         if pending_reset >= 0 and idx >= pending_reset:
             # Warm-up exclusion: same boundary as the object pipeline.
             # The first visited instruction at or past the boundary
@@ -1466,76 +1425,82 @@ def _phase2_python(
     ruu_at = 0
     lsq_at = 0
 
-    for op, dest, s1, s2, fetch_latency, execution_latency, mp in zip(
-        ops, dests, src1s, src2s, fetch_lat, exec_lat, misp
-    ):
-        # --- dispatch constraints ---
-        earliest = redirect_floor
-        ruu_free = ruu_ring[ruu_at]
-        if ruu_free > earliest:
-            earliest = ruu_free
-        is_mem = 3 < op < 6  # OP_LOAD or OP_STORE
-        if is_mem:
-            lsq_free = lsq_ring[lsq_at]
-            if lsq_free > earliest:
-                earliest = lsq_free
-        if earliest > dispatch_cycle:
-            dispatch_cycle = earliest
-            dispatched_in_cycle = 1
-        else:
-            dispatched_in_cycle += 1
-            if dispatched_in_cycle > width:
-                dispatch_cycle += 1
+    # The deadline is checked between chunks of CHECK_INTERVAL
+    # instructions, so the loop body itself pays nothing for it.
+    expires = deadline.current()
+    rows = zip(ops, dests, src1s, src2s, fetch_lat, exec_lat, misp)
+    for _ in range(0, len(ops), deadline.CHECK_INTERVAL):
+        deadline.check(expires)
+        for op, dest, s1, s2, fetch_latency, execution_latency, mp in islice(
+            rows, deadline.CHECK_INTERVAL
+        ):
+            # --- dispatch constraints ---
+            earliest = redirect_floor
+            ruu_free = ruu_ring[ruu_at]
+            if ruu_free > earliest:
+                earliest = ruu_free
+            is_mem = 3 < op < 6  # OP_LOAD or OP_STORE
+            if is_mem:
+                lsq_free = lsq_ring[lsq_at]
+                if lsq_free > earliest:
+                    earliest = lsq_free
+            if earliest > dispatch_cycle:
+                dispatch_cycle = earliest
+                dispatched_in_cycle = 1
+            else:
+                dispatched_in_cycle += 1
+                if dispatched_in_cycle > width:
+                    dispatch_cycle += 1
+                    dispatched_in_cycle = 1
+
+            # --- instruction fetch (precomputed latency) ---
+            if fetch_latency > 1:
+                dispatch_cycle += fetch_latency - 1
                 dispatched_in_cycle = 1
 
-        # --- instruction fetch (precomputed latency) ---
-        if fetch_latency > 1:
-            dispatch_cycle += fetch_latency - 1
-            dispatched_in_cycle = 1
+            # --- operand readiness and functional-unit issue (inlined) ---
+            ready = dispatch_cycle
+            t = reg_ready[s1]
+            if t > ready:
+                ready = t
+            t = reg_ready[s2]
+            if t > ready:
+                ready = t
+            free, interval = by_op[op]
+            # First-free unit, first index on ties — list.index(min) keeps
+            # the same tie-break as the linear scan it replaces.
+            best_time = min(free)
+            start = ready if ready >= best_time else best_time
+            free[free.index(best_time)] = start + interval
 
-        # --- operand readiness and functional-unit issue (inlined) ---
-        ready = dispatch_cycle
-        t = reg_ready[s1]
-        if t > ready:
-            ready = t
-        t = reg_ready[s2]
-        if t > ready:
-            ready = t
-        free, interval = by_op[op]
-        # First-free unit, first index on ties — list.index(min) keeps
-        # the same tie-break as the linear scan it replaces.
-        best_time = min(free)
-        start = ready if ready >= best_time else best_time
-        free[free.index(best_time)] = start + interval
+            # --- execution (latency precomputed for every op class) ---
+            complete = start + execution_latency
+            if mp:
+                floor = complete + penalty
+                if floor > redirect_floor:
+                    redirect_floor = floor
 
-        # --- execution (latency precomputed for every op class) ---
-        complete = start + execution_latency
-        if mp:
-            floor = complete + penalty
-            if floor > redirect_floor:
-                redirect_floor = floor
+            if dest:
+                reg_ready[dest] = complete
 
-        if dest:
-            reg_ready[dest] = complete
-
-        # --- in-order retirement, up to `width` per cycle ---
-        # (`retire_cycle` is the last retirement time: the original's
-        # separate `last_retire` provably equals it after every step.)
-        if complete > retire_cycle:
-            retire_cycle = complete
-            retired_in_cycle = 1
-        else:
-            retired_in_cycle += 1
-            if retired_in_cycle > width:
-                retire_cycle += 1
+            # --- in-order retirement, up to `width` per cycle ---
+            # (`retire_cycle` is the last retirement time: the original's
+            # separate `last_retire` provably equals it after every step.)
+            if complete > retire_cycle:
+                retire_cycle = complete
                 retired_in_cycle = 1
-        ruu_ring[ruu_at] = retire_cycle
-        ruu_at += 1
-        if ruu_at == ruu_size:
-            ruu_at = 0
-        if is_mem:
-            lsq_ring[lsq_at] = retire_cycle
-            lsq_at += 1
-            if lsq_at == lsq_size:
-                lsq_at = 0
+            else:
+                retired_in_cycle += 1
+                if retired_in_cycle > width:
+                    retire_cycle += 1
+                    retired_in_cycle = 1
+            ruu_ring[ruu_at] = retire_cycle
+            ruu_at += 1
+            if ruu_at == ruu_size:
+                ruu_at = 0
+            if is_mem:
+                lsq_ring[lsq_at] = retire_cycle
+                lsq_at += 1
+                if lsq_at == lsq_size:
+                    lsq_at = 0
     return retire_cycle

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import deadline
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.cpu.branch import CombinedPredictor, PredictorStats
 from repro.cpu.funits import FunctionalUnits, FUSpec
@@ -126,7 +127,12 @@ class OutOfOrderPipeline:
         takens = trace.taken
         targets = trace.target
 
+        expires = deadline.current()
+        check_at = deadline.CHECK_INTERVAL
         for i in range(len(ops)):
+            if i == check_at:
+                deadline.check(expires)
+                check_at += deadline.CHECK_INTERVAL
             if i == reset_stats_at and i > 0:
                 hierarchy.stats.reset()
             op = ops[i]

@@ -54,9 +54,6 @@ Design points, in the order a long campaign meets them:
 
   ``tests/golden/campaign_*.json`` hold reports recorded by the retired
   round-barrier engine; the engine must reproduce them byte for byte.
-* **Stragglers.**  A trial in flight for much longer than the median
-  is duplicated once; the duplicate runs the *same* spec, so whichever
-  copy finishes first yields the identical deterministic result.
 * **Multi-host cooperation** (``share_dir=``).  Engines pointed at one
   share directory claim cells one at a time through TTL-bounded
   :class:`~repro.harness.cache.FileLease` files, publish their
@@ -89,7 +86,7 @@ from repro.harness.cache import FileLease
 from repro.harness.report import format_table
 from repro.harness.runner import Job, ParallelRunner, RunnerError
 from repro.harness.spec import ExperimentSpec, MachineConfig
-from repro.harness.stats import BootstrapCI, bootstrap_ci
+from repro.harness.stats import BootstrapCI, bootstrap_ci, latency_summary
 
 #: Version tag of the checkpoint / report plain-data formats.
 CAMPAIGN_FORMAT = 1
@@ -506,26 +503,6 @@ class CampaignReport:
 HIST_EDGES = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0)
 
 
-def _latency_summary(values: list) -> dict:
-    """Order statistics plus a log-bucket histogram of trial latencies."""
-    vals = sorted(values)
-    n = len(vals)
-    counts = [0] * (len(HIST_EDGES) + 1)
-    for v in vals:
-        i = 0
-        while i < len(HIST_EDGES) and v >= HIST_EDGES[i]:
-            i += 1
-        counts[i] += 1
-    return {
-        "count": n,
-        "mean": sum(vals) / n,
-        "p50": vals[n // 2],
-        "p90": vals[min(n - 1, (9 * n) // 10)],
-        "max": vals[-1],
-        "histogram": {"edges": list(HIST_EDGES), "counts": counts},
-    }
-
-
 @dataclass
 class _CellRun:
     """Scheduling state of one cell (the committed state lives in the
@@ -543,8 +520,6 @@ class _CellRun:
     resolved: set = field(default_factory=set)
     #: (index, attempt) -> TrialHandle for primary submissions.
     inflight: dict = field(default_factory=dict)
-    #: (index, attempt) -> TrialHandle for speculative duplicates.
-    dups: dict = field(default_factory=dict)
     #: Outstanding helper handles (unowned cells, cache warming only).
     helpers: list = field(default_factory=list)
     #: Committed count the stopping rule was last evaluated at (memo).
@@ -604,11 +579,6 @@ class CampaignEngine:
         How many batches past the firm frontier a cell may speculate
         (0 disables speculation; only meaningful with adaptive
         stopping).
-    speculate_after:
-        Seconds an in-flight trial must age before a duplicate is
-        launched against it; ``None`` auto-tunes to 4x the observed
-        median latency (and disables duplication until 8 latencies are
-        seen).  Duplication needs a real pool (``workers > 1``).
     share_dir:
         Directory shared between cooperating engines (lease + published
         record files).  ``None`` (default) disables cooperation.
@@ -632,7 +602,6 @@ class CampaignEngine:
         workers: Optional[int] = None,
         max_inflight: Optional[int] = None,
         lookahead_batches: int = 2,
-        speculate_after: Optional[float] = None,
         share_dir: Union[str, Path, None] = None,
         lease_ttl: float = 30.0,
         coop_interval: float = 0.5,
@@ -652,7 +621,6 @@ class CampaignEngine:
             else 4 * self.workers
         )
         self.lookahead_batches = max(0, lookahead_batches)
-        self.speculate_after = speculate_after
         self.share_dir = Path(share_dir) if share_dir else None
         self.lease_ttl = lease_ttl
         self.coop_interval = coop_interval
@@ -669,7 +637,6 @@ class CampaignEngine:
         self.breaker_trips = 0
         self.steals = 0
         self.speculative_submits = 0
-        self.duplicate_submits = 0
         self.cancelled_savings = 0
         self.discarded_results = 0
         self.records_adopted = 0
@@ -897,8 +864,7 @@ class CampaignEngine:
         The first refill after a completion prefers the cell that just
         freed the slot; serving any other cell instead is counted as a
         steal.  Once regular work runs dry the dispatcher falls back to
-        claiming an unowned cell (multi-host), helper trials, then
-        speculative duplication of stragglers.
+        claiming an unowned cell (multi-host), then helper trials.
         """
         prefer = freed_cell
         while (
@@ -912,8 +878,6 @@ class CampaignEngine:
                     continue
                 if self._maybe_helper(session):
                     continue
-                if self._maybe_duplicate(session):
-                    return  # at most one duplicate per dispatch pass
                 return
             cs, index, attempt = picked
             kind = "trial"
@@ -966,42 +930,9 @@ class CampaignEngine:
         if kind == "helper":
             cs.helpers.append(handle)
             self.helper_submits += 1
-        elif kind == "dup":
-            cs.dups[(index, attempt)] = handle
-            self.duplicate_submits += 1
         else:
             cs.inflight[(index, attempt)] = handle
         return handle
-
-    def _maybe_duplicate(self, session) -> bool:
-        """Launch one duplicate of the oldest pathological straggler."""
-        if self.workers <= 1:
-            return False
-        threshold = self.speculate_after
-        if threshold is None:
-            latencies = [v for vals in self._latency.values() for v in vals]
-            if len(latencies) < 8:
-                return False
-            threshold = max(1.0, 4 * sorted(latencies)[len(latencies) // 2])
-        now = time.monotonic()
-        best = None
-        for cs in self._order:
-            if cs.done:
-                continue
-            for (index, attempt), handle in cs.inflight.items():
-                if (index, attempt) in cs.dups or handle.done:
-                    continue
-                started = self._submit_times.get(handle)
-                if started is None:
-                    continue
-                age = now - started
-                if age >= threshold and (best is None or age > best[0]):
-                    best = (age, cs, index, attempt)
-        if best is None:
-            return False
-        _, cs, index, attempt = best
-        self._submit(session, cs, index, attempt, "dup")
-        return True
 
     # -- completion + commit ----------------------------------------------
 
@@ -1025,17 +956,8 @@ class CampaignEngine:
             except ValueError:
                 pass
             return  # cache warmed; the owner commits this trial
-        primary = cs.inflight.pop((index, attempt), None)
-        dup = cs.dups.pop((index, attempt), None)
-        if primary is None and dup is None:
-            return  # twin already processed, or the cell was abandoned
-        twin = dup if handle is primary else primary
-        if twin is not None and twin is not handle:
-            # First completion wins; same spec -> identical result, so
-            # which copy wins never shows in the records.
-            if session.cancel(twin):
-                self.cancelled_savings += 1
-            self._submit_times.pop(twin, None)
+        if cs.inflight.pop((index, attempt), None) is None:
+            return  # the cell was abandoned
         if cs.done:
             self.discarded_results += 1
             return
@@ -1087,15 +1009,11 @@ class CampaignEngine:
 
     def _abandon(self, cs: _CellRun, session) -> None:
         """Revoke a converged cell's queued work, discard its stage."""
-        pending = (
-            list(cs.inflight.values()) + list(cs.dups.values()) + cs.helpers
-        )
-        for handle in pending:
+        for handle in list(cs.inflight.values()) + cs.helpers:
             if session is not None and session.cancel(handle):
                 self.cancelled_savings += 1
                 self._submit_times.pop(handle, None)
         cs.inflight.clear()
-        cs.dups.clear()
         cs.helpers = []
         self.discarded_results += sum(
             len(events) for events in cs.staged.values()
@@ -1479,7 +1397,6 @@ class CampaignEngine:
             "utilization": busy_share,
             "steals": self.steals,
             "speculative_submits": self.speculative_submits,
-            "speculative_duplicates": self.duplicate_submits,
             "cancelled_savings": self.cancelled_savings,
             "discarded_results": self.discarded_results,
             "records_adopted": self.records_adopted,
@@ -1493,7 +1410,7 @@ class CampaignEngine:
             ),
             "lease_takeovers": self.lease_takeovers,
             "backend_latency": {
-                mode: _latency_summary(vals)
+                mode: latency_summary(vals, HIST_EDGES)
                 for mode, vals in sorted(self._latency.items())
             },
         }

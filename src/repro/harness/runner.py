@@ -7,8 +7,16 @@ over a ``multiprocessing`` worker pool, consults its result store (a
 bounded :class:`~repro.harness.cache.ReadThroughCache`, optionally over
 the content-addressed disk cache) before simulating anything, and
 guards every job with a wall-clock timeout plus a retry budget:
-``retries=N`` gives every job ``1 + N`` attempts, so a crashed or hung
-worker costs one attempt, not the whole sweep.
+``retries=N`` gives every job ``1 + N`` attempts, so a crashed or
+timed-out attempt costs one attempt, not the whole sweep.
+
+The timeout is a cooperative deadline (:mod:`repro.deadline`), set per
+thread for one attempt: the simulator checks it every 16,384 simulated
+instructions and raises :class:`JobTimeoutError` once it has passed.  It
+therefore works the same on the main thread, on other threads (the
+service's execution and campaign threads), in pool workers, and on
+every platform.  The compiled phase-2 kernel is not interrupted: a
+deadline that passes inside it lets the job finish.
 
 There is one execution path.  :meth:`ParallelRunner.run` submits a
 batch to a :class:`RunnerSession`, harvests it as it completes and
@@ -26,7 +34,6 @@ in-process path regardless of worker scheduling;
 from __future__ import annotations
 
 import os
-import signal
 import sys
 import time
 import traceback
@@ -40,9 +47,10 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Union
 
-from repro import recovery
+from repro import deadline, recovery
 from repro.chaos import runtime as _chaos
 from repro.core.config import ICRConfig
+from repro.deadline import JobTimeoutError
 from repro.harness.cache import (
     ReadThroughCache,
     ResultCache,
@@ -87,10 +95,6 @@ class Job:
             return job_key(self.benchmark, self.scheme, self.kwargs)
         except UncacheableJobError:
             return None
-
-
-class JobTimeoutError(RuntimeError):
-    """A job exceeded the runner's per-job wall-clock budget."""
 
 
 class RunnerError(RuntimeError):
@@ -154,36 +158,6 @@ class RunnerStats:
         )
 
 
-#: Frames a timeout must not raise from: an exception raised inside a
-#: GC callback is "unraisable" (it never reaches the caller, and pytest
-#: escalates it to a warning), and one raised inside import/warning
-#: machinery propagates out of whatever innocent allocation triggered
-#: it, skipping the runner's except-and-retry entirely.  The interval
-#: re-arm means declining here only defers the raise to the next alarm,
-#: which lands in an ordinary frame.
-_FRAGILE_FRAME_MARKERS = (
-    "importlib",
-    "warnings.py",
-    "tracemalloc.py",
-    "linecache.py",
-    "unraisableexception.py",
-)
-
-
-def _frame_safe_to_raise(frame) -> bool:
-    depth = 0
-    while frame is not None and depth < 16:
-        code = frame.f_code
-        if code.co_name == "gc_callback":
-            return False
-        filename = code.co_filename
-        if any(marker in filename for marker in _FRAGILE_FRAME_MARKERS):
-            return False
-        frame = frame.f_back
-        depth += 1
-    return True
-
-
 def _inject_trial_fault(job: Job, last_attempt: bool = False) -> None:
     """Fire the chaos fault scheduled for this trial, if any.
 
@@ -220,37 +194,16 @@ def _inject_trial_fault(job: Job, last_attempt: bool = False) -> None:
 def _run_with_timeout(
     job: Job, timeout: Optional[float], last_attempt: bool = False
 ) -> SimulationResult:
-    """Execute *job*, bounded by an interval timer where the OS has one."""
+    """Execute *job* under this thread's deadline, *timeout* seconds away."""
     _inject_trial_fault(job, last_attempt)
     spec = job.spec()
-    if not timeout or not hasattr(signal, "SIGALRM"):
+    if not timeout:
         return _run_spec(spec)
-
-    # The armed flag closes the pending-delivery race: a signal that
-    # arrived at the C level just before the disarm below can still be
-    # delivered to the Python handler a few bytecodes *after* the try
-    # block has exited, where a raise would escape the caller's
-    # except-and-retry — so the handler only raises while armed.
-    armed = True
-
-    def _expired(signum, frame):
-        if armed and _frame_safe_to_raise(frame):
-            raise JobTimeoutError(f"job {job.label} exceeded {timeout}s")
-
-    previous = signal.signal(signal.SIGALRM, _expired)
-    # Re-arm the timer rather than firing once: if the first SIGALRM
-    # lands while the interpreter is inside a GC callback (or any other
-    # frame that swallows exceptions raised by signal handlers), a
-    # one-shot alarm is silently lost and the job runs unbounded.  With
-    # a repeat interval the next alarm fires from a normal frame and
-    # the timeout still lands.
-    signal.setitimer(signal.ITIMER_REAL, timeout, min(timeout, 0.05))
+    deadline.start(timeout, f"job {job.label} exceeded {timeout}s")
     try:
         return _run_spec(spec)
     finally:
-        armed = False
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+        deadline.clear()
 
 
 def _worker(payload: tuple[Job, Optional[float], bool]) -> tuple[str, object]:
@@ -258,8 +211,6 @@ def _worker(payload: tuple[Job, Optional[float], bool]) -> tuple[str, object]:
     job, timeout, last_attempt = payload
     try:
         return "ok", _run_with_timeout(job, timeout, last_attempt)
-    except JobTimeoutError as exc:
-        return "timeout", str(exc)
     except Exception:
         return "error", traceback.format_exc()
 
@@ -280,7 +231,10 @@ class ParallelRunner:
         jobs never re-simulate while their result is resident, and the
         in-memory tier stays bounded.
     timeout:
-        Per-job wall-clock budget in seconds (``None`` = unbounded).
+        Per-attempt wall-clock budget in seconds (``None`` = unbounded):
+        a deadline the simulator checks every 16,384 simulated
+        instructions, identically on every thread and platform.  The
+        compiled phase-2 kernel is not interrupted.
     retries:
         Extra attempts after a crash or timeout (default 1): every job
         gets ``1 + retries`` attempts, whichever path runs it.  After a

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -52,6 +53,28 @@ def summarize(values: Sequence[float]) -> MetricSummary:
     return MetricSummary(
         mean=mean, std=math.sqrt(var), minimum=min(values), maximum=max(values), n=n
     )
+
+
+def latency_summary(values: Sequence[float], edges: Sequence[float]) -> dict:
+    """Order statistics plus a histogram of latencies (telemetry payload).
+
+    Bucket ``i`` counts the values ``v`` with ``edges[i - 1] <= v <
+    edges[i]``; the first and last buckets are open-ended.  An empty
+    sample summarizes to zeros.
+    """
+    vals = sorted(values)
+    n = len(vals)
+    counts = [0] * (len(edges) + 1)
+    for v in vals:
+        counts[bisect_right(edges, v)] += 1
+    return {
+        "count": n,
+        "mean": sum(vals) / n if n else 0.0,
+        "p50": vals[n // 2] if n else 0.0,
+        "p90": vals[min(n - 1, (9 * n) // 10)] if n else 0.0,
+        "max": vals[-1] if n else 0.0,
+        "histogram": {"edges": list(edges), "counts": counts},
+    }
 
 
 @dataclass(frozen=True)

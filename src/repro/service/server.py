@@ -36,7 +36,9 @@ as local calls, a result served over HTTP is byte-identical to
 
 The service imports the simulator exclusively through
 :mod:`repro.api` — it is the facade's first consumer and the reason the
-facade is frozen.
+facade is frozen.  (It shares one non-simulator helper with the
+campaign engine, :func:`repro.harness.stats.latency_summary`, for its
+telemetry payload.)
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from repro.api import (
     get_scheme,
     list_schemes,
 )
+from repro.harness.stats import latency_summary
 from repro.service import jobs as _jobs
 from repro.service.http import (
     HttpError,
@@ -115,26 +118,6 @@ class ServiceConfig:
     #: the dedup index.
     max_latency_samples: int = 512
     max_terminal_jobs: int = 4096
-
-
-def _latency_summary(values: list[float]) -> dict[str, Any]:
-    """Order statistics plus a log-bucket histogram (telemetry payload)."""
-    vals = sorted(values)
-    n = len(vals)
-    counts = [0] * (len(_LATENCY_EDGES) + 1)
-    for v in vals:
-        i = 0
-        while i < len(_LATENCY_EDGES) and v >= _LATENCY_EDGES[i]:
-            i += 1
-        counts[i] += 1
-    return {
-        "count": n,
-        "mean": sum(vals) / n if n else 0.0,
-        "p50": vals[n // 2] if n else 0.0,
-        "p90": vals[min(n - 1, (9 * n) // 10)] if n else 0.0,
-        "max": vals[-1] if n else 0.0,
-        "histogram": {"edges": list(_LATENCY_EDGES), "counts": counts},
-    }
 
 
 class SimulationService:
@@ -634,7 +617,7 @@ class SimulationService:
             "store": self.store.stats(),
             "runner": self.runner.stats.snapshot(),
             "backend_latency": {
-                backend: _latency_summary(list(vals))
+                backend: latency_summary(vals, _LATENCY_EDGES)
                 for backend, vals in sorted(self._latency.items())
             },
             "campaigns": self._campaign_telemetry,

@@ -39,6 +39,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
+from repro import deadline
 from repro.cpu.isa import (
     OP_BRANCH,
     OP_FP_ALU,
@@ -273,7 +274,12 @@ class WorkloadGenerator:
         phase_offset = 0
         last_load_dest = 0
         phase_len = max(1, p.phase_instructions)
+        expires = deadline.current()
+        check_at = deadline.CHECK_INTERVAL
         for instr_index in range(n_instructions):
+            if instr_index == check_at:
+                deadline.check(expires)
+                check_at += deadline.CHECK_INTERVAL
             if instr_index % phase_len == 0:
                 phase_offset = (instr_index // phase_len) * phase_stride * BLOCK
             site = sites[position]

@@ -8,7 +8,7 @@ the simulation.
 """
 
 import multiprocessing
-import signal
+import threading
 
 import pytest
 
@@ -178,13 +178,51 @@ class TestRetryAndFailure:
         assert runner.stats.retries == 2
         assert runner.stats.failures == 1
 
-    @pytest.mark.skipif(
-        not hasattr(signal, "SIGALRM"), reason="needs POSIX interval timers"
-    )
     def test_timeout_enforced(self):
         runner = ParallelRunner(jobs=1, timeout=0.005)
         with pytest.raises(RunnerError, match="exceeded"):
             runner.run([Job("gzip", "BaseP", dict(n_instructions=2_000_000))])
+        assert runner.stats.failures == 1
+
+
+def _in_thread(fn):
+    """Run *fn* on a fresh non-main thread; its return value or exception."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class TestNonMainThread:
+    """The timeout is a per-thread deadline, not a main-thread signal."""
+
+    def test_timed_run_in_thread_matches_main_thread(self):
+        job = Job("gzip", "BaseP", dict(n_instructions=2_000))
+        main = ParallelRunner(jobs=1, timeout=30).run([job])[0]
+        threaded = _in_thread(
+            lambda: ParallelRunner(jobs=1, timeout=30, retries=0).run([job])[0]
+        )
+        assert threaded.to_dict() == main.to_dict()
+
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_timeout_enforced_in_thread(self, backend):
+        runner = ParallelRunner(jobs=1, timeout=0.005)
+        job = Job(
+            "gzip", "BaseP", dict(n_instructions=2_000_000, backend=backend)
+        )
+        with pytest.raises(RunnerError, match="exceeded"):
+            _in_thread(lambda: runner.run([job]))
         assert runner.stats.failures == 1
 
 

@@ -67,6 +67,16 @@ class TestSingleJob:
             result = client.result(SPEC.key())
             assert result.to_dict() == run_experiment(SPEC).to_dict()
 
+    def test_timed_job_finishes_on_the_execution_thread(self, tmp_path):
+        """The per-job timeout works off the main thread."""
+        with ServiceThread(_config(tmp_path, timeout=30)) as st:
+            client = ServiceClient(port=st.port)
+            client.submit(SPEC)
+            payload = client.wait(SPEC.key(), timeout=120)
+            assert payload["job"]["state"] == "done"
+            served = client.result(SPEC.key())
+        assert served.to_dict() == run_experiment(SPEC).to_dict()
+
     def test_unknown_result_key_is_404(self, tmp_path):
         with ServiceThread(_config(tmp_path)) as st:
             client = ServiceClient(port=st.port)
