@@ -1,8 +1,9 @@
 """Micro-benchmarks of the simulator itself (proper pytest-benchmark use).
 
 These track the throughput of the hot paths — cache accesses, the SEC-DED
-and byte-parity codecs, protected-word storage, pipeline scheduling,
-trace generation — so performance
+and byte-parity codecs, protected-word storage, pipeline scheduling on the
+object and struct-of-arrays dL1, hierarchy construction, trace
+generation — so performance
 regressions in the substrate are visible independently of the figure
 suite.
 """
@@ -16,9 +17,12 @@ from repro.cache.set_assoc import CacheGeometry, SetAssociativeCache
 from repro.coding.hamming import decode, encode, extract_data
 from repro.coding.parity import byte_parity_bits
 from repro.coding.protection import STORED_BITS, ProtectedWord, ProtectionKind
+from repro.core.array_kernel import backend_mode
 from repro.core.schemes import make_cache
 from repro.cpu.pipeline import OutOfOrderPipeline
+from repro.harness.experiment import run_experiment
 from repro.harness.runner import Job, ParallelRunner
+from repro.harness.spec import ExperimentSpec
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec2000 import profile_for
 
@@ -112,6 +116,31 @@ def test_pipeline_throughput(benchmark):
         return pipeline.run(trace).cycles
 
     benchmark(run)
+
+
+def test_pipeline_throughput_soa(benchmark):
+    """The per-access tier on the struct-of-arrays dL1.
+
+    A decay window of 1000 couples the dL1 to cycle numbers, so this spec
+    runs the per-access pipeline, not the batched engine.  One untimed
+    run first fills the trace and front-end memos, as in a sweep.
+    """
+    spec = ExperimentSpec.from_kwargs(
+        "gzip",
+        "ICR-P-PS(S)",
+        n_instructions=30_000,
+        backend="array",
+        decay_window=1000,
+    )
+    assert backend_mode(spec) == "array-soa"
+    run_experiment(spec)
+    benchmark(lambda: run_experiment(spec).cycles)
+
+
+def test_hierarchy_construction(benchmark):
+    """Building the Table 1 hierarchy around a dL1: paid once per run."""
+    dl1 = make_cache("BaseP")
+    benchmark(lambda: MemoryHierarchy(dl1))
 
 
 def test_trace_generation_throughput(benchmark):

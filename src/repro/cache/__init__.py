@@ -2,7 +2,12 @@
 
 from repro.cache.block import CacheBlock
 from repro.cache.hierarchy import DL1Outcome, HierarchyConfig, MemoryHierarchy
-from repro.cache.set_assoc import CacheGeometry, Eviction, SetAssociativeCache
+from repro.cache.set_assoc import (
+    CacheGeometry,
+    Eviction,
+    PlainArrayCache,
+    SetAssociativeCache,
+)
 from repro.cache.stats import CacheStats, HierarchyStats
 from repro.cache.write_buffer import CoalescingWriteBuffer, WriteBufferStats
 
@@ -14,6 +19,7 @@ __all__ = [
     "CacheGeometry",
     "Eviction",
     "SetAssociativeCache",
+    "PlainArrayCache",
     "CacheStats",
     "HierarchyStats",
     "CoalescingWriteBuffer",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.set_assoc import CacheGeometry, Eviction, SetAssociativeCache
+from repro.cache.set_assoc import CacheGeometry, Eviction, PlainArrayCache
 from repro.cache.stats import HierarchyStats
 from repro.cache.write_buffer import CoalescingWriteBuffer
 
@@ -69,8 +69,8 @@ class MemoryHierarchy:
             )
             self.l1i.error_refetch_latency = self.config.l2_latency
         else:
-            self.l1i = SetAssociativeCache(self.config.l1i_geometry, name="l1i")
-        self.l2 = SetAssociativeCache(self.config.l2_geometry, name="l2")
+            self.l1i = PlainArrayCache(self.config.l1i_geometry)
+        self.l2 = PlainArrayCache(self.config.l2_geometry)
         self.stats = HierarchyStats(l1d=dl1.stats, l1i=self.l1i.stats, l2=self.l2.stats)
         self.write_buffer = CoalescingWriteBuffer(
             entries=self.config.write_buffer_entries,
@@ -79,11 +79,14 @@ class MemoryHierarchy:
         self._last_fetch_block = -1
         self._now = 0
         dl1.set_evict_hook(self._dl1_evicted)
-        self.l2.on_evict = self._l2_evicted
+        self.l2.on_dirty_evict = self._memory_writeback
+        #: Fetch-block shift: ``pc >> fetch_shift`` numbers the fetch
+        #: blocks :meth:`fetch` charges; -1 when the iL1 is not modelled.
+        self.fetch_shift = (
+            self.l1i.geometry.block_offset_bits if self.config.model_icache else -1
+        )
         # Hoisted constants for the per-instruction fetch/load/store paths.
-        self._fetch_shift = self.l1i.geometry.block_offset_bits
         self._l1i_latency = self.config.l1i_latency
-        self._model_icache = self.config.model_icache
         self._dl1_block_shift = self.dl1.geometry.block_offset_bits
 
     # -- inter-level traffic ------------------------------------------------
@@ -96,10 +99,9 @@ class MemoryHierarchy:
             if not hit:
                 self.stats.memory_accesses += 1
 
-    def _l2_evicted(self, eviction: Eviction) -> None:
-        """Dirty L2 victims go to memory."""
-        if eviction.dirty:
-            self.stats.memory_accesses += 1
+    def _memory_writeback(self) -> None:
+        """A dirty L2 victim goes to memory."""
+        self.stats.memory_accesses += 1
 
     def _l2_fetch(self, addr: int, now: int) -> int:
         """Fetch a line from L2 (for an L1 miss); returns the latency."""
@@ -147,9 +149,10 @@ class MemoryHierarchy:
     def fetch(self, pc: int, now: int) -> int:
         """An instruction fetch; charged once per new 32-byte fetch block."""
         latency = self._l1i_latency
-        if not self._model_icache:
+        shift = self.fetch_shift
+        if shift < 0:
             return latency
-        block = pc >> self._fetch_shift
+        block = pc >> shift
         if block == self._last_fetch_block:
             return latency
         self._last_fetch_block = block

@@ -1,8 +1,11 @@
-"""Generic set-associative cache with true-LRU replacement.
+"""Generic set-associative caches with true-LRU replacement.
 
-This is the substrate both the unified L2 and the instruction cache use
-directly, and that the ICR data cache (:mod:`repro.core.icr_cache`) builds
-on.  Addresses are byte addresses; a *block address* is ``addr >> log2(block
+:class:`SetAssociativeCache` models every line as a
+:class:`~repro.cache.block.CacheBlock` and exposes the primitives the ICR
+data cache (:mod:`repro.core.icr_cache`) builds on.  :class:`PlainArrayCache`
+is its demand path alone, kept in flat per-frame lists: every kernel tier
+uses it for the unified L2 and the plain (unprotected) instruction cache.
+Addresses are byte addresses; a *block address* is ``addr >> log2(block
 size)``.  The cache is indexed by ``block_addr % n_sets`` exactly like the
 hardware it models.
 """
@@ -264,3 +267,90 @@ class SetAssociativeCache:
             else:
                 summary["primaries"] += 1
         return summary
+
+
+class PlainArrayCache:
+    """The demand path of :class:`SetAssociativeCache`, in flat arrays.
+
+    A write-back, write-allocate, true-LRU cache whose state lives in
+    parallel per-frame lists (frame = ``set_index * associativity +
+    way``), so building one costs no per-line objects.  :meth:`access`
+    gives the same hit/miss sequence, the same :class:`CacheStats` and
+    the same dirty evictions as :meth:`SetAssociativeCache.access` with
+    LRU replacement (``tests/test_cache_set_assoc.py`` checks this).
+    Replacement is timing-independent (LRU over a use counter), so
+    ``now`` is accepted and ignored.  Only dirty victims have an
+    observable effect, so instead of an :class:`Eviction` record the
+    cache calls :attr:`on_dirty_evict` with no arguments.
+    """
+
+    def __init__(self, geometry: CacheGeometry):
+        self.geometry = geometry
+        self.stats = CacheStats()
+        n_frames = geometry.n_sets * geometry.associativity
+        self._assoc = geometry.associativity
+        self._set_mask = geometry.n_sets - 1
+        self._block_shift = geometry.block_offset_bits
+        self._tag = [-1] * n_frames
+        self._valid = [False] * n_frames
+        self._dirty = [False] * n_frames
+        self._lru = [0] * n_frames
+        self._lru_clock = 0
+        # block_addr -> frame of every valid line.
+        self._tag_index: dict[int, int] = {}
+        self.on_dirty_evict: Optional[Callable[[], None]] = None
+
+    def access(self, addr: int, is_write: bool, now: int = 0) -> bool:
+        """One demand access; returns ``True`` on hit (*now* is unused)."""
+        stats = self.stats
+        block_addr = addr >> self._block_shift
+        stats.tag_probes += 1
+        f = self._tag_index.get(block_addr, -1)
+        if is_write:
+            stats.stores += 1
+        else:
+            stats.loads += 1
+        if f >= 0:
+            if is_write:
+                stats.store_hits += 1
+                stats.array_writes += 1
+                self._dirty[f] = True
+            else:
+                stats.load_hits += 1
+                stats.array_reads += 1
+            self._lru_clock += 1
+            self._lru[f] = self._lru_clock
+            return True
+        # Miss path: evict the LRU way (invalid first), write-allocate.
+        if is_write:
+            stats.store_misses += 1
+        else:
+            stats.load_misses += 1
+        valid = self._valid
+        lru = self._lru
+        base = (block_addr & self._set_mask) * self._assoc
+        victim = base
+        best_stamp = None
+        for f in range(base, base + self._assoc):
+            if not valid[f]:
+                victim = f
+                best_stamp = None
+                break
+            stamp = lru[f]
+            if best_stamp is None or stamp < best_stamp:
+                best_stamp = stamp
+                victim = f
+        if valid[victim]:
+            del self._tag_index[self._tag[victim]]
+            if self._dirty[victim]:
+                stats.writebacks += 1
+                if self.on_dirty_evict is not None:
+                    self.on_dirty_evict()
+        self._tag[victim] = block_addr
+        valid[victim] = True
+        self._dirty[victim] = is_write
+        self._tag_index[block_addr] = victim
+        stats.array_writes += 1
+        self._lru_clock += 1
+        lru[victim] = self._lru_clock
+        return False

@@ -22,7 +22,9 @@ semantics in struct-of-arrays form and a batched execution mode:
   order*, never on cycle numbers.  Branch-predictor outcomes and
   fetch-block boundaries depend only on the *trace*, so they are
   precomputed once per trace and memoized next to the trace itself
-  (:func:`_phase1_prestage`).  Phase 1 then walks the trace in program
+  (:func:`_phase1_prestage`, built on the memoized front end
+  :func:`~repro.cpu.pipeline.front_end_for` that the per-access tiers
+  share).  Phase 1 then walks the trace in program
   order — visiting only the instructions that can generate memory-side
   events (loads, stores, new fetch blocks) — driving the SoA caches and
   recording per-instruction outcome codes; the codes are translated to
@@ -46,6 +48,10 @@ object kernel.  ``backend="array"`` therefore never changes results,
 only the execution strategy; :func:`backend_mode` reports which strategy
 a spec resolves to.
 
+The batched engine's L2 and iL1 are the flat-array
+:class:`~repro.cache.set_assoc.PlainArrayCache` of :mod:`repro.cache`,
+the class every tier's hierarchy uses; phase 1 inlines the iL1 hit path.
+
 Engineering note: the *canonical* hot-path state is kept in plain Python
 lists (CPython scalar indexing beats numpy scalar indexing by an order
 of magnitude); numpy enters where work is genuinely batched — the
@@ -61,7 +67,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro import deadline
-from repro.cache.set_assoc import CacheGeometry, Eviction
+from repro.cache.set_assoc import Eviction, PlainArrayCache
 from repro.cache.stats import CacheStats
 from repro.coding.protection import ProtectionKind
 from repro.core import _native
@@ -800,97 +806,6 @@ class ArrayDL1:
 
 
 # ---------------------------------------------------------------------------
-# plain SoA cache (L2 / iL1 substrate of the batched engine)
-# ---------------------------------------------------------------------------
-
-
-class _PlainArrayCache:
-    """SoA port of ``SetAssociativeCache.access`` (plain L2/iL1 path).
-
-    Timing-independent by construction (true LRU over stamps), so it
-    takes no ``now``; ``on_dirty_evict`` replaces the Eviction-object
-    hook (only dirty L2 victims have an observable effect: one memory
-    access).
-    """
-
-    def __init__(self, geometry: CacheGeometry):
-        self.geometry = geometry
-        self.stats = CacheStats()
-        n_sets = geometry.n_sets
-        assoc = geometry.associativity
-        n_frames = n_sets * assoc
-        self._assoc = assoc
-        self._set_mask = n_sets - 1
-        self._block_shift = geometry.block_offset_bits
-        self._tag = [-1] * n_frames
-        self._valid = [False] * n_frames
-        self._dirty = [False] * n_frames
-        self._lru = [0] * n_frames
-        self._lru_clock = 0
-        self._tag_index: dict[int, int] = {}
-        self.on_dirty_evict: Optional[Callable[[], None]] = None
-
-    def access(self, addr: int, is_write: bool) -> bool:
-        stats = self.stats
-        block_addr = addr >> self._block_shift
-        stats.tag_probes += 1
-        f = self._tag_index.get(block_addr, -1)
-        if is_write:
-            stats.stores += 1
-        else:
-            stats.loads += 1
-        if f >= 0:
-            if is_write:
-                stats.store_hits += 1
-                stats.array_writes += 1
-                self._dirty[f] = True
-            else:
-                stats.load_hits += 1
-                stats.array_reads += 1
-            self._lru_clock += 1
-            self._lru[f] = self._lru_clock
-            return True
-        # Miss path: evict the LRU way (invalid first), write-allocate.
-        if is_write:
-            stats.store_misses += 1
-        else:
-            stats.load_misses += 1
-        valid = self._valid
-        lru = self._lru
-        base = (block_addr & self._set_mask) * self._assoc
-        victim = base
-        best_stamp = None
-        for f in range(base, base + self._assoc):
-            if not valid[f]:
-                victim = f
-                best_stamp = None
-                break
-            stamp = lru[f]
-            if best_stamp is None or stamp < best_stamp:
-                best_stamp = stamp
-                victim = f
-        if valid[victim]:
-            old_addr = self._tag[victim]
-            dirty = self._dirty[victim]
-            if self._tag_index.get(old_addr, -1) == victim:
-                del self._tag_index[old_addr]
-            valid[victim] = False
-            self._dirty[victim] = False
-            if dirty:
-                stats.writebacks += 1
-                if self.on_dirty_evict is not None:
-                    self.on_dirty_evict()
-        self._tag[victim] = block_addr
-        valid[victim] = True
-        self._dirty[victim] = is_write
-        self._tag_index[block_addr] = victim
-        stats.array_writes += 1
-        self._lru_clock += 1
-        lru[victim] = self._lru_clock
-        return False
-
-
-# ---------------------------------------------------------------------------
 # the batched two-phase engine
 # ---------------------------------------------------------------------------
 
@@ -899,54 +814,32 @@ class _PlainArrayCache:
 def _phase1_prestage(profile, n_instructions, seed_offset, fetch_shift):
     """Trace-pure phase-1 precomputation, memoized alongside the trace.
 
-    The branch predictor and the instruction-fetch block boundaries
-    depend only on the instruction trace — never on data-cache contents
-    — so they are pure functions of the (already memoized) trace:
+    Built on the per-access pipeline's memoized front end
+    (:func:`~repro.cpu.pipeline.front_end_for`: per-instruction
+    mispredict flags, the final predictor counters and per-instruction
+    "new fetch block" flags, ``fetch_shift < 0`` disabling icache
+    modelling), plus what only the batched engine needs:
 
-    * per-instruction mispredict flags and the final predictor counters,
-      computed by driving the *real* :class:`CombinedPredictor` (one
-      amortized pass; no duplicated predictor logic to diverge);
-    * per-instruction "new fetch block" flags (``fetch_shift < 0``
-      disables icache modelling: all zeros);
     * the sorted index list of instructions phase 1 must actually visit:
       memory ops and fetch-block boundaries.  Everything else is a plain
-      ALU op (or an already-resolved branch) with no memory-side event.
+      ALU op (or an already-resolved branch) with no memory-side event;
+    * the op column as a numpy array and the byte-packed columns of the
+      native phase-2 kernel.
 
     Keyed exactly like :func:`trace_for` plus the fetch-block shift, so
     scheme sweeps over one benchmark trace pay this once.  The returned
     containers are shared across runs — callers must not mutate them.
     """
-    from repro.cpu.branch import CombinedPredictor
-    from repro.cpu.isa import OP_BRANCH
+    from repro.cpu.pipeline import front_end_for
     from repro.workloads.generator import trace_for
 
+    front_end = front_end_for(profile, n_instructions, seed_offset, fetch_shift)
     trace = trace_for(profile, n_instructions, seed_offset)
     ops = trace.op
-    pcs = trace.pc
-    takens = trace.taken
-    targets = trace.target
-    n = len(ops)
-    misp = bytearray(n)
-    predictor = CombinedPredictor()
-    pred_access = predictor.access
     ops_np = np.asarray(ops, dtype=np.int64)
-    for i in np.nonzero(ops_np == OP_BRANCH)[0].tolist():
-        if pred_access(pcs[i], takens[i], targets[i]):
-            misp[i] = 1
-
     is_mem = (ops_np > 3) & (ops_np < 6)  # OP_LOAD / OP_STORE
-    if fetch_shift < 0 or n == 0:
-        new_block = bytes(n)
-        interesting = np.nonzero(is_mem)[0].tolist()
-    else:
-        blocks = np.asarray(pcs, dtype=np.int64) >> fetch_shift
-        nb_mask = np.empty(n, dtype=bool)
-        nb_mask[0] = True
-        np.not_equal(blocks[1:], blocks[:-1], out=nb_mask[1:])
-        new_block = nb_mask.tobytes()
-        interesting = np.nonzero(nb_mask | is_mem)[0].tolist()
-
-    stats = predictor.stats
+    new_block = np.frombuffer(front_end.new_block, dtype=bool)
+    interesting = np.flatnonzero(new_block | is_mem).tolist()
     # Byte-packed columns for the native phase-2 kernel (ops <= 6,
     # registers < 32, so every column fits uint8).
     columns = (
@@ -956,9 +849,9 @@ def _phase1_prestage(profile, n_instructions, seed_offset, fetch_shift):
         bytes(trace.src2),
     )
     return (
-        bytes(misp),
-        (stats.branches, stats.direction_mispredicts, stats.btb_misses),
-        new_block,
+        front_end.mispredicts,
+        front_end.predictor_counts,
+        front_end.new_block,
         interesting,
         ops_np,
         columns,
@@ -1000,8 +893,8 @@ def run_batched(spec, profile, config: ICRConfig, machine):
     n = len(ops)
 
     dl1 = ArrayDL1(config)
-    l1i = _PlainArrayCache(hier_cfg.l1i_geometry)
-    l2 = _PlainArrayCache(hier_cfg.l2_geometry)
+    l1i = PlainArrayCache(hier_cfg.l1i_geometry)
+    l2 = PlainArrayCache(hier_cfg.l2_geometry)
     mem_accesses = 0
     l2_latency = hier_cfg.l2_latency
     memory_latency = hier_cfg.memory_latency
@@ -1035,7 +928,7 @@ def run_batched(spec, profile, config: ICRConfig, machine):
     # the stats objects at the end — pure increments commute with the
     # slow paths' own stats-object increments).  Everything rarer — dL1
     # misses, replica probes/fills, replication attempts, iL1 misses —
-    # calls the corresponding ArrayDL1/_PlainArrayCache method, with the
+    # calls the corresponding ArrayDL1/PlainArrayCache method, with the
     # shared LRU clock (whose *ordering* matters, unlike the counters)
     # synced around each slow call.  In batched mode every access
     # happens at now=0, so the decay timestamps need no maintenance at

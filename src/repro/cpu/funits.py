@@ -55,27 +55,6 @@ _OP_TO_POOL = {
 }
 
 
-class _Pool:
-    __slots__ = ("spec", "free_at")
-
-    def __init__(self, spec: FUSpec):
-        self.spec = spec
-        self.free_at = [0] * spec.count
-
-    def reserve(self, ready: int) -> int:
-        """Claim a unit; returns the operation's start cycle."""
-        free = self.free_at
-        best = 0
-        best_time = free[0]
-        for i in range(1, len(free)):
-            if free[i] < best_time:
-                best_time = free[i]
-                best = i
-        start = ready if ready >= best_time else best_time
-        free[best] = start + self.spec.interval
-        return start
-
-
 class FunctionalUnits:
     """All pools of the machine, addressed by operation class."""
 
@@ -83,31 +62,24 @@ class FunctionalUnits:
         self.specs = dict(DEFAULT_SPECS)
         if specs:
             self.specs.update(specs)
-        self._pools = {name: _Pool(spec) for name, spec in self.specs.items()}
-        # op -> (shared free_at list, latency, interval): one lookup per
-        # issue on the per-instruction hot path.  Pools shared by several
-        # ops (mem_port, int_alu) share the same free_at list object.
-        self._by_op: dict[int, tuple[list[int], int, int]] = {
-            op: (
-                self._pools[name].free_at,
-                self._pools[name].spec.latency,
-                self._pools[name].spec.interval,
-            )
-            for op, name in _OP_TO_POOL.items()
-        }
+        # Per pool, the cycle at which each of its units is next free.
+        free_at = {name: [0] * spec.count for name, spec in self.specs.items()}
+        #: Indexed by op (the ``OP_*`` classes are 0..6): the pool's shared
+        #: free_at list, its latency and its issue interval — one lookup
+        #: per issue on the per-instruction hot path.  Ops sharing a pool
+        #: (mem_port, int_alu) share the same free_at list object.
+        self.by_op: list[tuple[list[int], int, int]] = []
+        for op in range(len(_OP_TO_POOL)):
+            spec = self.specs[_OP_TO_POOL[op]]
+            self.by_op.append((free_at[_OP_TO_POOL[op]], spec.latency, spec.interval))
 
     def issue(self, op: int, ready: int) -> tuple[int, int]:
         """Reserve the right pool for *op*; returns (start, unit latency)."""
-        free, latency, interval = self._by_op[op]
-        best = 0
-        best_time = free[0]
-        for i in range(1, len(free)):
-            t = free[i]
-            if t < best_time:
-                best_time = t
-                best = i
+        free, latency, interval = self.by_op[op]
+        # The unit that frees earliest; the lowest index on ties.
+        best_time = min(free)
         start = ready if ready >= best_time else best_time
-        free[best] = start + interval
+        free[free.index(best_time)] = start + interval
         return start, latency
 
     def latency_of(self, op: int) -> int:

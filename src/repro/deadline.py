@@ -3,11 +3,12 @@
 A job's wall-clock budget is a *deadline* the simulator checks itself,
 not a signal: :func:`start` records ``time.monotonic() + seconds`` for
 the calling thread, and the loops that carry a job's time — trace
-generation, the out-of-order pipeline, and the batched engine's phase-1
+generation, the trace-pure front-end pass (branch predictor and fetch
+blocks), the out-of-order pipeline, and the batched engine's phase-1
 and pure-Python phase-2 loops — read it once with :func:`current` and
 call :func:`check` every :data:`CHECK_INTERVAL` instructions, which
 raises :class:`JobTimeoutError` once it has passed.  Between checks the
-cost is one integer compare per instruction.
+cost is at most one integer compare per instruction.
 
 Because the deadline lives in a ``threading.local``, it behaves the
 same on the main thread, on any other thread and in pool workers, on

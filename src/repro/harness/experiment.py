@@ -29,7 +29,7 @@ from repro.core.icr_cache import ICRCache
 from repro.core.registry import UnknownSchemeError, build_dl1, scheme_info
 from repro.core.schemes import make_config
 from repro.cpu.branch import PredictorStats
-from repro.cpu.pipeline import OutOfOrderPipeline, PipelineResult
+from repro.cpu.pipeline import OutOfOrderPipeline, PipelineResult, front_end_for
 from repro.energy.accounting import EnergyBreakdown, EnergyParams, energy_of
 from repro.errors.injector import FaultInjector, derive_stream_seed
 from repro.harness.spec import (
@@ -298,7 +298,15 @@ def _run_spec(spec: ExperimentSpec) -> SimulationResult:
         spec.n_instructions + spec.warmup_instructions,
         seed_offset=spec.trace_seed,
     )
-    result = pipeline.run(trace, reset_stats_at=spec.warmup_instructions)
+    front_end = front_end_for(
+        profile,
+        spec.n_instructions + spec.warmup_instructions,
+        spec.trace_seed,
+        hierarchy.fetch_shift,
+    )
+    result = pipeline.run(
+        trace, reset_stats_at=spec.warmup_instructions, front_end=front_end
+    )
     vulnerability = monitor.finish(result.cycles) if monitor else None
 
     params = EnergyParams.from_geometries(

@@ -159,6 +159,7 @@ class TestProtectedICache:
     def test_plain_icache_still_default(self):
         dl1 = make_cache("BaseP")
         h = MemoryHierarchy(dl1, HierarchyConfig())
-        from repro.cache.set_assoc import SetAssociativeCache
+        from repro.cache.set_assoc import PlainArrayCache
 
-        assert type(h.l1i) is SetAssociativeCache
+        assert type(h.l1i) is PlainArrayCache
+        assert type(h.l2) is PlainArrayCache

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.set_assoc import CacheGeometry, SetAssociativeCache
+from repro.cache.set_assoc import CacheGeometry, PlainArrayCache, SetAssociativeCache
 
 
 class TestCacheGeometry:
@@ -173,3 +173,53 @@ class TestAgainstReferenceModel:
                 mru.remove(block_addr)
             mru.insert(0, block_addr)
             del mru[geometry.associativity :]
+
+
+class TestPlainArrayCache:
+    """The flat-array L2/iL1 cache against ``SetAssociativeCache``.
+
+    ``SetAssociativeCache`` stays the oracle: ``ICRCache`` subclasses it,
+    so its demand path is the one the object kernel's semantics rest on.
+    """
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            CacheGeometry(256, 1, 32),  # 8 sets, direct-mapped, 32 B lines
+            CacheGeometry(512, 2, 64),  # 4 sets, 2-way
+            CacheGeometry(1024, 4, 64),  # 4 sets, 4-way
+        ],
+        ids=["1way-32B", "2way-64B", "4way-64B"],
+    )
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=63),  # block index
+                st.integers(min_value=0, max_value=63),  # byte offset
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_hits_stats_and_dirty_evictions(self, geometry, accesses):
+        oracle = SetAssociativeCache(geometry)
+        flat = PlainArrayCache(geometry)
+        oracle_dirty = []
+        flat_dirty = []
+        oracle.on_evict = lambda ev: ev.dirty and oracle_dirty.append(ev.block_addr)
+        flat.on_dirty_evict = lambda: flat_dirty.append(None)
+        for now, (block, offset, is_write) in enumerate(accesses):
+            addr = block * geometry.block_size + offset % geometry.block_size
+            assert flat.access(addr, is_write, now) == oracle.access(
+                addr, is_write, now
+            )
+        assert flat.stats.snapshot() == oracle.stats.snapshot()
+        assert len(flat_dirty) == len(oracle_dirty) == oracle.stats.writebacks
+
+    def test_now_is_optional(self):
+        cache = PlainArrayCache(CacheGeometry(256, 1, 32))
+        assert cache.access(0x40, False) is False
+        assert cache.access(0x40, True) is True
+        assert cache.stats.store_hits == 1

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.core.array_kernel import backend_mode
 from repro.core.schemes import make_cache
+from repro.cpu.branch import CombinedPredictor
 from repro.cpu.funits import DEFAULT_SPECS, FunctionalUnits, FUSpec
 from repro.cpu.isa import (
     OP_BRANCH,
@@ -14,7 +16,11 @@ from repro.cpu.isa import (
     OP_STORE,
     Trace,
 )
-from repro.cpu.pipeline import OutOfOrderPipeline, PipelineConfig
+from repro.cpu.pipeline import OutOfOrderPipeline, PipelineConfig, front_end_for
+from repro.harness.experiment import run_experiment
+from repro.harness.spec import ExperimentSpec, MachineConfig
+from repro.workloads.generator import trace_for
+from repro.workloads.spec2000 import profile_for
 
 
 def build_pipeline(scheme="BaseP", config=None, **scheme_kwargs):
@@ -179,3 +185,68 @@ class TestResultAccounting:
         result = build_pipeline().run(alu_trace(100))
         assert result.cycles > 0
         assert 0.2 < result.cpi < 2.0
+
+
+class TestFrontEnd:
+    """The trace-pure front end: memoized per trace, or computed per run."""
+
+    N = 5_000
+
+    def _trace(self):
+        return trace_for(profile_for("gzip"), self.N, 0)
+
+    def _pipeline(self, **kwargs):
+        dl1 = make_cache("ICR-P-PS(S)", decay_window=1000)
+        return OutOfOrderPipeline(MemoryHierarchy(dl1, HierarchyConfig()), **kwargs)
+
+    def test_memoized_front_end_gives_the_same_result(self):
+        pipeline = self._pipeline()
+        front_end = front_end_for(
+            profile_for("gzip"), self.N, 0, pipeline.hierarchy.fetch_shift
+        )
+        memoized = pipeline.run(self._trace(), front_end=front_end)
+        computed = self._pipeline().run(self._trace())
+        assert memoized == computed  # predictor_stats included
+        assert computed.predictor_stats.branches == computed.branches > 0
+
+    def test_pretrained_predictor_is_honoured(self):
+        predictor = CombinedPredictor()
+        first = self._pipeline(predictor=predictor).run(self._trace())
+        second = self._pipeline(predictor=predictor).run(self._trace())
+        # The second run continues the trained predictor: its stats
+        # accumulate, and its own mispredicts are the difference.
+        assert second.predictor_stats is predictor.stats
+        assert predictor.stats.branches == 2 * first.branches
+        assert second.mispredicts == predictor.stats.mispredicts - first.mispredicts
+        assert second.mispredicts < first.mispredicts
+
+    def test_front_end_memo_is_bounded(self):
+        assert front_end_for.cache_info().maxsize is not None
+
+    def test_front_end_of_another_trace_is_rejected(self):
+        front_end = front_end_for(profile_for("gzip"), self.N, 0, 5)
+        with pytest.raises(ValueError, match="length"):
+            self._pipeline().run(alu_trace(10), front_end=front_end)
+
+    @pytest.mark.parametrize("model_icache", [True, False])
+    def test_slow_fetch_matches_batched_engine(self, model_icache):
+        # An iL1 latency above one cycle stalls every instruction, not
+        # only new fetch blocks; the batched engine prices each one.
+        hierarchy = HierarchyConfig(l1i_latency=2, model_icache=model_icache)
+        machine = MachineConfig(hierarchy=hierarchy)
+        results = {
+            backend: run_experiment(
+                ExperimentSpec(
+                    "gzip",
+                    "BaseP",
+                    n_instructions=3_000,
+                    machine=machine,
+                    backend=backend,
+                )
+            )
+            for backend in ("object", "array")
+        }
+        assert backend_mode(
+            ExperimentSpec("gzip", "BaseP", machine=machine, backend="array")
+        ) == "array-batched"
+        assert results["object"].to_dict() == results["array"].to_dict()

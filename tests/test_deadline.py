@@ -18,7 +18,7 @@ from repro.core import _native
 from repro.deadline import JobTimeoutError
 from repro.harness.experiment import run_experiment
 from repro.harness.spec import ExperimentSpec
-from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.generator import WorkloadGenerator, trace_for
 from repro.workloads.spec2000 import profile_for
 
 LONG = deadline.CHECK_INTERVAL + 4_000
@@ -64,6 +64,32 @@ def test_simulation_loop_stops_on_a_cached_trace(backend):
     run_experiment(spec)  # warm the trace (and phase-1 prestage) caches
     with past_deadline():
         run_experiment(spec)
+
+
+def test_front_end_pass_stops_and_memoizes_nothing():
+    # The trace-pure front end (the branch predictor over a cached trace)
+    # is shared by every kernel tier; its pass must check the deadline
+    # too, and a pass that stopped must not be memoized half done.
+    from repro.core.array_kernel import _phase1_prestage
+
+    profile = profile_for("gzip")
+    length = 2 * deadline.CHECK_INTERVAL + 7  # a length no other test uses
+    trace_for(profile, length, 0)  # cached: generation does not run below
+    _phase1_prestage.cache_clear()
+    with past_deadline():
+        _phase1_prestage(profile, length, 0, 5)
+
+    from repro.cpu.pipeline import front_end_for
+
+    with past_deadline():
+        front_end_for(profile, length, 0, 5)
+    assert _phase1_prestage.cache_info().currsize == 0
+    # Without a deadline the same pass runs again (nothing was memoized)
+    # and completes.
+    before = front_end_for.cache_info()
+    _phase1_prestage(profile, length, 0, 5)
+    after = front_end_for.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 1)
 
 
 def test_python_phase2_stops(monkeypatch):
