@@ -159,8 +159,7 @@ def _end_to_end_grid(backend):
 def test_end_to_end_sims_per_sec(benchmark):
     """End-to-end runner throughput (jobs=1, result cache disabled).
 
-    This is the number the acceptance bar in BENCH_simulator.json tracks:
-    whole simulations per second through the serial in-process path —
+    Whole simulations per second through the serial in-process path —
     trace lookup, pipeline, hierarchy and stats extraction included.
     """
     grid = _end_to_end_grid("object")

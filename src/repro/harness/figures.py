@@ -103,7 +103,7 @@ class FigureResult:
 # Every simulation a figure function performs goes through _run().  By
 # default that is a plain run_experiment() call; under an execution
 # context it is routed through a ParallelRunner (caching, metrics) or a
-# job collector (the prefetch pass of run_figure).
+# job collector (the trace pass of prefetched()).
 # ---------------------------------------------------------------------------
 
 #: The active execution engine, or None for direct serial execution.
@@ -224,18 +224,38 @@ def run_figure(
     fn = ALL_FIGURES[figure_id]
     if runner is None:
         return fn(**kwargs)
+    with prefetched(figure_id, runner, prefetch=prefetch, **kwargs):
+        return fn(**kwargs)
+
+
+@contextlib.contextmanager
+def prefetched(
+    figure_id: str,
+    runner: ParallelRunner,
+    *,
+    prefetch: Optional[bool] = None,
+    **kwargs,
+):
+    """Route the block's figure calls through *runner*, grid prefetched.
+
+    With *prefetch* (by default: a multi-worker *runner* and a figure
+    outside :data:`PREFETCH_UNSAFE`), figure *figure_id* is first traced
+    with placeholder results for *kwargs*, its job grid is executed as
+    one ``runner.run`` batch, and the block's calls replay from that
+    batch.  Otherwise the block runs through *runner* directly.
+    """
     if prefetch is None:
         prefetch = runner.jobs > 1 and figure_id not in PREFETCH_UNSAFE
+    engine = runner
     if prefetch:
         collector = _JobCollector()
         with execution_context(collector):
-            fn(**kwargs)
+            ALL_FIGURES[figure_id](**kwargs)
         results = runner.run(collector.jobs)
         by_key = {job.key(): r for job, r in zip(collector.jobs, results)}
-        with execution_context(_ReplayEngine(runner, by_key)):
-            return fn(**kwargs)
-    with execution_context(runner):
-        return fn(**kwargs)
+        engine = _ReplayEngine(runner, by_key)
+    with execution_context(engine):
+        yield engine
 
 
 # ---------------------------------------------------------------------------

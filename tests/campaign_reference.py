@@ -10,13 +10,12 @@ statistics must not.  After a deliberate change to simulation results,
 re-record a file in that format from a reviewed run and commit it with
 the change that caused it.
 
-The files double as the CI campaign smoke's expected output
-(``benchmarks/bench_campaign.py`` checks the ``bench_*`` ones).
+``tests/test_harness_scheduler.py`` checks the ``bench_*`` ones, the
+larger smoke and adaptive-stopping campaigns, at one and two workers.
 """
 
 import json
 import pathlib
-from typing import Optional
 
 from repro.harness.cache import _canonical
 
@@ -51,11 +50,3 @@ def assert_matches_reference(report, name: str) -> None:
     """Fail unless *report* equals the recorded report *name*."""
     assert report_body(report) == reference_body(name, report.config)
 
-
-def matches_reference(report, name: str) -> Optional[bool]:
-    """Whether *report* equals the recorded report *name*; ``None``
-    when that report was recorded for another config."""
-    data = _load(name)
-    if data["config"] != _canonical(report.config):
-        return None
-    return report_body(report) == _render(data["report"])

@@ -54,6 +54,28 @@ ADAPTIVE = dict(
 )
 
 
+#: The campaigns recorded in ``campaign_bench_{smoke,adaptive}.json``:
+#: (config fields, engine keywords).  The adaptive one stops on a
+#: bootstrap half-width with batch_size=1, so speculative trials past
+#: the firm frontier are staged and cancelled on convergence.
+BENCH = {
+    "bench_smoke": (
+        dict(SMALL, trials=12, batch_size=6, n_instructions=20_000), {}
+    ),
+    "bench_adaptive": (
+        dict(
+            SMALL,
+            trials=48,
+            min_trials=8,
+            batch_size=1,
+            target_half_width=1.15e-3,
+            n_instructions=5_000,
+        ),
+        {"lookahead_batches": 8},
+    ),
+}
+
+
 def small_config(**over):
     merged = dict(SMALL)
     merged.update(over)
@@ -93,6 +115,16 @@ class TestByteIdenticalReports:
         }
         assert failed["BaseP"] == 0
         assert failed["ICR-P-PS(S)"] > 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name", sorted(BENCH))
+    def test_bench_reports_match_reference(self, name, jobs):
+        fields, engine_kwargs = BENCH[name]
+        runner = ParallelRunner(jobs=jobs, cache=None)
+        out = create_engine(
+            CampaignConfig(**fields), runner, **engine_kwargs
+        ).run()
+        assert_matches_reference(out, name)
 
     def test_lookahead_depths_identical(self):
         config = small_config(**{k: ADAPTIVE[k] for k in ADAPTIVE})
